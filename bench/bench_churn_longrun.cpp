@@ -21,9 +21,11 @@
 // protocol timers, packet path), best of --reps slices; writes
 // BENCH_workload.json for the perf trajectory next to BENCH_kernel.json and
 // BENCH_net.json, including the wheel-vs-heap pop split of the timing-wheel
-// kernel. Wall-clock numbers are NOT bit-stable, which is why this lives
-// behind a flag: science mode's stdout must stay byte-comparable across
-// cold/warm/sharded runs.
+// kernel and the pool's memory: peak RSS (VmHWM, reset before each pool)
+// and bytes per slot (RSS growth from before construction to the end of the
+// warm-up, over the pool size). Wall-clock numbers are NOT bit-stable, which
+// is why this lives behind a flag: science mode's stdout must stay
+// byte-comparable across cold/warm/sharded runs.
 //
 //   ./bench_churn_longrun [--full] [--reps=N] [--jobs=N] [--seed=N]
 //                         [--duration=S] [--cache=DIR] [--shard-index/-count]
@@ -32,7 +34,12 @@
 //                         [--pools=100,300,...] [--out=BENCH_workload.json]
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "bench_common.hpp"
 #include "net/dumbbell.hpp"
@@ -57,13 +64,38 @@ struct EngineResult {
   double utilization = 0.0;
   std::uint64_t wheel_pops = 0;    // timing-wheel vs heap split of the kernel pops
   std::uint64_t heap_pops = 0;
+  double peak_rss_mb = 0.0;        // VmHWM over construction, warm-up and window
+  double bytes_per_slot = 0.0;     // RSS growth through the warm-up / pool size
 };
+
+/// A "Vm..." field of /proc/self/status in bytes (0 where unavailable).
+double proc_status_bytes(const std::string& key) {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.compare(0, key.size(), key) == 0 && line.size() > key.size() &&
+        line[key.size()] == ':') {
+      return std::stod(line.substr(key.size() + 1)) * 1024.0;  // the kernel reports kB
+    }
+  }
+  return 0.0;
+}
+
+/// Returns freed heap pages to the kernel and restarts the VmHWM watermark
+/// at the current RSS, so the next pool's memory is measured on its own.
+void reset_memory_watermark() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  std::ofstream("/proc/self/clear_refs") << "5";
+}
 
 EngineResult run_engine_workload(int pool, double seconds, std::uint64_t seed, int reps) {
   EngineResult out;
   out.name = "churn_" + std::to_string(pool);
   const double warmup = seconds / 3.0;
   for (int rep = 0; rep < reps; ++rep) {
+    reset_memory_watermark();
+    const double rss0 = proc_status_bytes("VmRSS");
     testbed::Scenario sc = testbed::churn_scenario(/*offered_load=*/1.5, /*tfrc_fraction=*/0.5,
                                                    seed + static_cast<std::uint64_t>(rep));
     sc.workload.max_concurrent = pool;
@@ -95,6 +127,7 @@ EngineResult run_engine_workload(int pool, double seconds, std::uint64_t seed, i
 
     // Warm-up until the pool saturates, then measure a wall-clocked window.
     sim.run_until(warmup);
+    const double rss1 = proc_status_bytes("VmRSS");
     churn.begin_epoch();
     const std::uint64_t events0 = sim.events_executed();
     const std::uint64_t wheel0 = sim.wheel_pops();
@@ -114,6 +147,8 @@ EngineResult run_engine_workload(int pool, double seconds, std::uint64_t seed, i
       out.utilization = net.bottleneck().utilization();
       out.wheel_pops = sim.wheel_pops() - wheel0;
       out.heap_pops = sim.heap_pops() - heap0;
+      out.peak_rss_mb = proc_status_bytes("VmHWM") / (1024.0 * 1024.0);
+      out.bytes_per_slot = (rss1 - rss0) / pool;
     }
   }
   return out;
@@ -140,12 +175,13 @@ void write_engine_json(const std::string& path, double seconds, int reps,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"events\": %llu, \"events_per_sec\": %.0f, "
                  "\"peak_flows\": %llu, \"completions\": %llu, \"utilization\": %.3f, "
-                 "\"wheel_pops\": %llu, \"heap_pops\": %llu}%s\n",
+                 "\"wheel_pops\": %llu, \"heap_pops\": %llu, \"peak_rss_mb\": %.1f, "
+                 "\"bytes_per_slot\": %.0f}%s\n",
                  r.name.c_str(), static_cast<unsigned long long>(r.events), r.events_per_sec,
                  static_cast<unsigned long long>(r.peak_flows),
                  static_cast<unsigned long long>(r.completions), r.utilization,
                  static_cast<unsigned long long>(r.wheel_pops),
-                 static_cast<unsigned long long>(r.heap_pops),
+                 static_cast<unsigned long long>(r.heap_pops), r.peak_rss_mb, r.bytes_per_slot,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -168,14 +204,15 @@ int run_engine_mode(const bench::BenchArgs& args, const std::string& out_path,
     const int reps = pool >= 100000 ? 1 : args.reps;
     results.push_back(run_engine_workload(pool, window, args.seed, reps));
   }
-  util::Table t(
-      {"pool", "events/s", "events", "peak flows", "completions", "util", "wheel share"});
+  util::Table t({"pool", "events/s", "events", "peak flows", "completions", "util",
+                 "wheel share", "peak RSS MB", "B/slot"});
   for (const auto& r : results) {
     const double pops = static_cast<double>(r.wheel_pops + r.heap_pops);
     t.row({r.name, util::fmt(r.events_per_sec, 6), util::fmt(static_cast<double>(r.events), 6),
            util::fmt(static_cast<double>(r.peak_flows), 4),
            util::fmt(static_cast<double>(r.completions), 5), util::fmt(r.utilization, 3),
-           util::fmt(pops > 0 ? static_cast<double>(r.wheel_pops) / pops : 0.0, 3)});
+           util::fmt(pops > 0 ? static_cast<double>(r.wheel_pops) / pops : 0.0, 3),
+           util::fmt(r.peak_rss_mb, 5), util::fmt(r.bytes_per_slot, 5)});
   }
   t.print();
   write_engine_json(out_path, seconds, args.reps, results);

@@ -169,8 +169,11 @@ endif()
 # hangs until the SIGKILL deadline, and a clean in-worker throw. The sweep
 # survives all three, attributes each correctly in the manifest, drops repro
 # bundles for the abnormal deaths, and streams the JSONL event feed.
+# The hung worker runs out the full deadline, so it is kept short: healthy
+# cells of all three registered sweeps finish in at most 0.06 s in a Debug
+# build under `ctest -j4` (4-core x86-64), and 5 s leaves them ~90x headroom.
 run_figure(crash_out crash_err --cache=${WORK_DIR}/iso-fault-cache --keep-going
-           --isolate=process --cell-deadline=60
+           --isolate=process --cell-deadline=5
            --inject-faults=crash@1:*,hang@2:*,throw@4:*
            --summary-out=${WORK_DIR}/iso-sum.txt
            --events-out=${WORK_DIR}/iso-events.jsonl)

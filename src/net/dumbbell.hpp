@@ -21,7 +21,9 @@
 // overhaul.
 //
 // Each flow registers two handlers: data arriving at its receiver, and
-// ack/feedback arriving back at its sender.
+// ack/feedback arriving back at its sender. They are installed straight into
+// the flow's tail and reverse pipes, so a delivery is one indirect call; a
+// packet that arrives before its handler is registered is discarded.
 #pragma once
 
 #include <deque>
@@ -64,13 +66,15 @@ class Dumbbell {
 
  private:
   struct Flow {
-    Flow(Dumbbell& owner, double fwd_prop_s, double rev_prop_s);
+    Flow(sim::Simulator& sim, double fwd_prop_s, double rev_prop_s)
+        : tail(sim, fwd_prop_s), reverse(sim, rev_prop_s) {}
 
     DelayPipe tail;     // post-bottleneck per-flow propagation to the receiver
     DelayPipe reverse;  // receiver -> sender return path
-    PacketHandler at_receiver;
-    PacketHandler at_sender;
   };
+  // libstdc++ packs two flows per 512-B deque block; one more per-flow field
+  // halves that packing, so growing this should be a deliberate choice.
+  static_assert(sizeof(Flow) == 256, "Dumbbell::Flow grew past its budget");
 
   sim::Simulator& sim_;
   Link bottleneck_;

@@ -10,10 +10,8 @@ DelayPipe::DelayPipe(sim::Simulator& sim, double delay_s, PacketHandler deliver)
     : sim_(sim),
       delay_s_(delay_s),
       deliver_(std::move(deliver)),
-      deliver_ev_(sim.pin([this] { deliver_head(); })),
-      flight_(32) {
+      deliver_ev_(sim.pin([this] { deliver_head(); })) {
   if (delay_s < 0) throw std::invalid_argument("DelayPipe: negative delay");
-  if (!deliver_) throw std::invalid_argument("DelayPipe: null delivery handler");
 }
 
 void DelayPipe::send_at(const Packet& p, double deliver_at) {
@@ -33,7 +31,7 @@ void DelayPipe::deliver_head() {
   } else {
     delivery_armed_ = false;
   }
-  deliver_(p);
+  if (deliver_) deliver_(p);
 }
 
 Link::Link(sim::Simulator& sim, Queue queue, double rate_bps, double prop_delay_s,

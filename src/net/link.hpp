@@ -16,8 +16,11 @@
 // in-flight packet's delivery is armed in the kernel at any time (FIFO
 // departure times never decrease, so the chain never schedules into the
 // past), the closure is registered once via Simulator::pin (zero slab
-// traffic per packet), and the packet itself waits in the pipe's ring — zero
-// heap allocations and one 56-byte copy per hop.
+// traffic per packet), and the packet itself waits in the pipe's ring — one
+// 56-byte copy per hop. The ring is allocated by the first packet staged and
+// grows geometrically to the pipe's peak in-flight population, after which
+// the hop performs zero heap allocations. A pipe that never carries a packet
+// (most of a million-slot churn pool) costs no ring at all.
 #pragma once
 
 #include "net/packet.hpp"
@@ -38,7 +41,9 @@ using PacketHandler = sim::InlineFunction<void(const Packet&), 48>;
 /// propagation segments), also used as the staging stage behind a Link.
 class DelayPipe {
  public:
-  DelayPipe(sim::Simulator& sim, double delay_s, PacketHandler deliver);
+  /// An empty `deliver` discards arriving packets until set_handler()
+  /// registers one.
+  DelayPipe(sim::Simulator& sim, double delay_s, PacketHandler deliver = {});
 
   // The constructor pins a this-capturing callback into the simulator; a
   // copied or moved instance would leave that closure firing on the old
@@ -52,6 +57,10 @@ class DelayPipe {
   /// Delivers `p` at the absolute time `deliver_at`. Times must be
   /// nondecreasing across calls (FIFO pipe); Link departure times are.
   void send_at(const Packet& p, double deliver_at);
+
+  /// Replaces the delivery handler; packets already in flight reach the new
+  /// one.
+  void set_handler(PacketHandler deliver) { deliver_ = std::move(deliver); }
 
   [[nodiscard]] double delay() const noexcept { return delay_s_; }
 
@@ -67,8 +76,8 @@ class DelayPipe {
   double delay_s_;
   PacketHandler deliver_;
   sim::Simulator::PinnedEvent deliver_ev_;  // pinned: zero slab traffic per packet
-  util::RingBuffer<InFlight> flight_;
   bool delivery_armed_ = false;
+  util::RingBuffer<InFlight> flight_;  // unallocated until the first send
 };
 
 /// RCP router parameters (Balakrishnan–Dukkipati–McKeown). The router keeps

@@ -2,10 +2,13 @@
 //
 // The network layer keeps every queued, in-service, and in-flight packet in
 // one of these instead of a std::deque: contiguous storage, index-mask
-// addressing, and no per-node allocation. Capacity is fixed up front from
-// the queue's buffer size (round_up_pow2), so the steady state performs zero
-// heap allocations; only a workload whose in-flight population outgrows the
-// initial hint pays a one-time geometric regrowth.
+// addressing, and no per-node allocation. A ring is either pre-sized from a
+// capacity hint (a queue sizes its rings from its buffer, round_up_pow2) or,
+// with no hint, allocated by its first push (the per-flow delay pipes, most
+// of which never carry a packet in a large churn pool). Either way it grows
+// geometrically when full, using the one `count == capacity` check the push
+// already makes, so once a ring has reached its peak population the steady
+// state performs zero heap allocations.
 #pragma once
 
 #include <cassert>

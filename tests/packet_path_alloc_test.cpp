@@ -11,10 +11,16 @@
 // packet costs two simulator events end to end (the sender's emission event,
 // inside which bottleneck admission resolves on the virtual clock, plus the
 // tail pipe's delivery), where the old layout paid four.
+//
+// And the per-flow memory budget of the many-flows regime: a dumbbell flow's
+// delay pipes allocate their packet rings only when the first packet is
+// staged, so adding a flow costs a fixed few hundred bytes however large the
+// pool grows.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 
@@ -28,16 +34,28 @@
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_new_bytes{0};
+// The smallest ring a pipe can hold: RingBuffer's 16-entry first allocation
+// of (Packet + 8-B delivery time) records.
+constexpr std::size_t kMinRingBytes = 16 * (sizeof(ebrc::net::Packet) + sizeof(double));
+// Allocations at least that large.
+std::atomic<std::uint64_t> g_ring_sized_news{0};
+
+void count_new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (n >= kMinRingBytes) g_ring_sized_news.fetch_add(1, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
+  count_new(n);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t al) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
+  count_new(n);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
                                    (n + static_cast<std::size_t>(al) - 1) &
                                        ~(static_cast<std::size_t>(al) - 1))) {
@@ -132,6 +150,74 @@ TEST(PacketPathAlloc, TfrcTcpStackZeroInlineFallbacksAndAmortizedTotal) {
       static_cast<double>(g_news.load(std::memory_order_relaxed) - news0) /
       static_cast<double>(forwarded);
   EXPECT_LT(allocs_per_packet, 0.005);
+}
+
+TEST(PacketPathAlloc, FlowPipesAllocateTheirRingsOnFirstPacket) {
+  sim::Simulator sim;
+  sim.reserve(64);  // the kernel's own containers stay out of the count
+  net::Dumbbell net(sim, net::Queue::drop_tail(32), 1e6, 0.001);
+  constexpr int kFlows = 64;
+  const std::uint64_t ring_sized0 = g_ring_sized_news.load(std::memory_order_relaxed);
+  for (int i = 0; i < kFlows; ++i) net.add_flow(0.004, 0.005);
+  // The flows' own records and the deque blocks holding them are all smaller
+  // than a ring; a pipe that pre-sized its ring would show up here.
+  EXPECT_EQ(g_ring_sized_news.load(std::memory_order_relaxed) - ring_sized0, 0u)
+      << "a flow allocated a pipe ring before its first packet";
+
+  int delivered = 0;
+  int acked = 0;
+  const int id = kFlows / 2;
+  net.on_data_at_receiver(id, [&](const net::Packet& p) {
+    ++delivered;
+    net::Packet ack;
+    ack.kind = net::PacketKind::kAck;
+    ack.ack = {p.seq, p.send_time};
+    net.send_back(id, ack);
+  });
+  net.on_packet_at_sender(id, [&](const net::Packet&) { ++acked; });
+  net::Packet p;
+  p.size_bytes = 1000;
+
+  // The first data packet allocates the tail ring, and its ack the reverse
+  // ring: the only allocations of the round trip.
+  const std::uint64_t news1 = g_news.load(std::memory_order_relaxed);
+  const std::uint64_t bytes1 = g_new_bytes.load(std::memory_order_relaxed);
+  net.send_data(id, p);
+  sim.run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(acked, 1);
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed) - news1, 2u);
+  EXPECT_GE(g_new_bytes.load(std::memory_order_relaxed) - bytes1, 2 * kMinRingBytes);
+
+  // Later packets on the same flow reuse both rings.
+  const std::uint64_t news2 = g_news.load(std::memory_order_relaxed);
+  for (int i = 0; i < 8; ++i) {
+    p.seq = i + 1;
+    net.send_data(id, p);
+  }
+  sim.run();
+  EXPECT_EQ(delivered, 9);
+  EXPECT_EQ(acked, 9);
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed) - news2, 0u);
+}
+
+TEST(PacketPathAlloc, AddFlowStaysWithinPerFlowByteBudget) {
+  // Measured on libstdc++ (x86-64): 256 B of dumbbell Flow plus two 64-B
+  // pinned delivery closures, with the deques' block and map overhead on
+  // top — 408.5 B per flow. The budget leaves 25% headroom. A pre-sized ring
+  // per pipe (2 x 1 KB and up) breaks it, and so does a Flow grown past
+  // 256 B, which libstdc++ stores one per 512-B deque block.
+  constexpr std::uint64_t kBudgetBytesPerFlow = 512;
+  constexpr int kFlows = 10000;
+  sim::Simulator sim;
+  net::Dumbbell net(sim, net::Queue::drop_tail(32), 1e6, 0.001);
+  const std::uint64_t bytes0 = g_new_bytes.load(std::memory_order_relaxed);
+  for (int i = 0; i < kFlows; ++i) net.add_flow(0.004, 0.005);
+  const double per_flow =
+      static_cast<double>(g_new_bytes.load(std::memory_order_relaxed) - bytes0) / kFlows;
+  EXPECT_LE(per_flow, static_cast<double>(kBudgetBytesPerFlow));
+  std::printf("add_flow: %.1f B per flow (budget %llu)\n", per_flow,
+              static_cast<unsigned long long>(kBudgetBytesPerFlow));
 }
 
 }  // namespace
