@@ -23,17 +23,16 @@
 //   --keep-going      isolate failing cells (complete the healthy ones,
 //                     report failures + write a manifest next to
 //                     --summary-out) instead of the default --fail-fast
-//   --max-retries=N   extra attempts per failing cell, seeds UNCHANGED
-//   --retry-backoff=S deterministic backoff: sleep S*2^k before retry k+1
-//   --cell-deadline=S per-attempt wall-clock budget; overruns fail the cell
-//                     (polled inside the event loop in-process, enforced
-//                     with SIGKILL under --isolate=process)
 //   --inject-faults=P arm the fault-injection harness (testbed/
 //                     fault_injection.hpp spec syntax) — test/CI hook
 //   --isolate=M       none (default) or process: run each simulated cell
 //                     attempt in a forked, supervised worker subprocess so
 //                     SIGSEGV/OOM/hangs become retryable CellFailures with
 //                     repro bundles under <summary-out>.crashes/
+//   --max-retries=N   extra attempts per failing cell, seeds UNCHANGED
+//                     (needs --isolate=process)
+//   --cell-deadline=S SIGKILL a cell attempt after S wall-clock seconds
+//                     (needs --isolate=process)
 //   --events-out=F    append-only JSONL telemetry (schema header + cell_start/
 //                     cell_done/cell_failed/cell_crashed/cell_killed/retry/
 //                     sweep_done; cell_done carries the obs snapshot)
@@ -92,7 +91,6 @@ struct BenchArgs {
   std::optional<std::string> csv_path;
   bool keep_going = false;
   int max_retries = 0;
-  double retry_backoff_s = 0.0;
   double cell_deadline_s = 0.0;  // 0 = no deadline
   std::optional<std::string> fault_plan;
   testbed::IsolationMode isolate = testbed::IsolationMode::kInProcess;
@@ -159,16 +157,24 @@ struct BenchArgs {
           throw std::invalid_argument("--scenario needs a .toml or .json file path");
         }
       }
-      cli.know("keep-going").know("fail-fast").know("max-retries").know("retry-backoff");
-      cli.know("cell-deadline").know("inject-faults");
+      cli.know("keep-going").know("fail-fast").know("max-retries");
+      cli.know("cell-deadline").know("inject-faults").know("isolate").know("events-out");
       keep_going = cli.get("keep-going", false);
       if (cli.has("fail-fast") && keep_going) {
         throw std::invalid_argument("--fail-fast and --keep-going are mutually exclusive");
       }
+      if (cli.has("isolate")) {
+        isolate = testbed::isolation_from(cli.get("isolate", std::string{"none"}));
+      }
+      // Only a supervised worker can be killed at a deadline or die and be
+      // retried; an in-process retry would rerun a deterministic cell.
+      for (const char* flag : {"max-retries", "cell-deadline"}) {
+        if (cli.has(flag) && isolate != testbed::IsolationMode::kProcess) {
+          throw std::invalid_argument("--" + std::string(flag) + " requires --isolate=process");
+        }
+      }
       max_retries = cli.get("max-retries", 0);
       if (max_retries < 0) throw std::invalid_argument("--max-retries must be >= 0");
-      retry_backoff_s = cli.get("retry-backoff", 0.0);
-      if (retry_backoff_s < 0) throw std::invalid_argument("--retry-backoff must be >= 0");
       if (cli.has("cell-deadline")) {
         cell_deadline_s = cli.get("cell-deadline", 0.0);
         if (cell_deadline_s <= 0) {
@@ -179,10 +185,6 @@ struct BenchArgs {
         fault_plan = cli.get("inject-faults", std::string{});
         // Parse eagerly: a typo'd plan must fail before hours of simulation.
         (void)testbed::fault::parse_plan(*fault_plan);
-      }
-      cli.know("isolate").know("events-out");
-      if (cli.has("isolate")) {
-        isolate = testbed::isolation_from(cli.get("isolate", std::string{"none"}));
       }
       if (cli.has("events-out")) {
         events_out = cli.get("events-out", std::string{});
@@ -229,7 +231,6 @@ struct BenchArgs {
     p.keep_going = keep_going;
     p.max_retries = max_retries;
     p.cell_deadline_s = cell_deadline_s;
-    p.backoff_base_s = retry_backoff_s;
     p.isolate = isolate;
     if (summary_out) p.crash_dir = *summary_out + ".crashes";
     p.invocation = invocation;

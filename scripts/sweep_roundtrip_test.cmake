@@ -24,7 +24,8 @@
 #         -DWORK_DIR=<scratch dir>
 #         -DCELLS=<total sweep cells at --reps=2> (default 20, the fig16 grid;
 #          the churn driver registers a second instance with its own count)
-# Also asserts the unknown-flag error names the new sweep flags.
+# Also asserts the unknown-flag error names the new sweep flags, and that
+# --cell-deadline / --max-retries without --isolate=process are refused.
 
 foreach(var FIGURE MERGE_TOOL WORK_DIR)
   if(NOT DEFINED ${var})
@@ -113,16 +114,14 @@ if(NOT sum_code EQUAL 0 OR NOT sum_out MATCHES "${CELLS} runs")
 endif()
 
 # --- 4: fault-injected keep-going sweep, then resume --------------------------
-# Three cells fail persistently (two throws, one deadline overrun); the sweep
-# must complete the rest, write a 3-entry failure manifest, and a fault-free
-# resume over the same cache must simulate ONLY those 3 cells and reproduce
-# the clean cold stdout bit-for-bit.
+# Three cells throw persistently; the sweep must complete the rest, write a
+# 3-entry failure manifest, and a fault-free resume over the same cache must
+# simulate ONLY those 3 cells and reproduce the clean cold stdout bit-for-bit.
 math(EXPR HEALTHY "${CELLS} - 3")
 run_figure(fault_out fault_err --cache=${WORK_DIR}/fault-cache --keep-going
-           --max-retries=1 --cell-deadline=600
-           --inject-faults=throw@1:*,throw@4:*,timeout@2:*
+           --inject-faults=throw@1:*,throw@2:*,throw@4:*
            --summary-out=${WORK_DIR}/fault-sum.txt)
-if(NOT fault_err MATCHES "failed=3 retried=3 timed_out=1")
+if(NOT fault_err MATCHES "failed=3 retried=0 timed_out=0")
   message(FATAL_ERROR "keep-going sweep did not isolate the injected faults:\n${fault_err}")
 endif()
 if(NOT fault_err MATCHES "simulated=${HEALTHY}")
@@ -297,6 +296,29 @@ execute_process(
 if(unknown_code EQUAL 0 OR NOT unknown_err MATCHES "--shard-index" OR
    NOT unknown_err MATCHES "--cache")
   message(FATAL_ERROR "unknown-flag listing misses the sweep flags: ${unknown_err}")
+endif()
+
+# Deadlines and retries need a supervised worker: without --isolate=process
+# the driver refuses them before simulating, naming the missing flag. There
+# is no retry backoff, so --retry-backoff is an unknown flag.
+foreach(flag IN ITEMS --cell-deadline=5 --max-retries=1)
+  execute_process(
+    COMMAND ${FIGURE} ${ARGS} --cache=${WORK_DIR}/refused-cache ${flag}
+    RESULT_VARIABLE refused_code
+    OUTPUT_VARIABLE refused_out
+    ERROR_VARIABLE refused_err)
+  if(refused_code EQUAL 0 OR NOT refused_err MATCHES "requires --isolate=process" OR
+     EXISTS "${WORK_DIR}/refused-cache")
+    message(FATAL_ERROR "${flag} without --isolate=process was not refused up front: ${refused_err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${FIGURE} ${ARGS} --retry-backoff=0.5
+  RESULT_VARIABLE backoff_code
+  OUTPUT_VARIABLE backoff_out
+  ERROR_VARIABLE backoff_err)
+if(backoff_code EQUAL 0 OR NOT backoff_err MATCHES "unknown flag --retry-backoff")
+  message(FATAL_ERROR "--retry-backoff is still accepted: ${backoff_err}")
 endif()
 
 message(STATUS "sweep persistence round-trip OK: cold == warm == 2-shard merged == faulted+resumed")

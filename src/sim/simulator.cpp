@@ -1,35 +1,10 @@
 #include "sim/simulator.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace ebrc::sim {
-
-namespace {
-
-thread_local bool t_deadline_armed = false;
-thread_local std::chrono::steady_clock::time_point t_deadline{};
-
-}  // namespace
-
-void arm_thread_wall_deadline(double seconds_from_now) {
-  t_deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(seconds_from_now));
-  t_deadline_armed = true;
-}
-
-void disarm_thread_wall_deadline() noexcept { t_deadline_armed = false; }
-
-bool thread_wall_deadline_armed() noexcept { return t_deadline_armed; }
-
-void poll_thread_wall_deadline() {
-  if (!t_deadline_armed) return;
-  if (std::chrono::steady_clock::now() < t_deadline) return;
-  throw WallDeadlineError("wall-clock deadline expired mid-run (cooperative 64k-event poll)");
-}
 
 namespace {
 // Heap size (in entries) above which sift-down child prefetching pays for
@@ -98,10 +73,6 @@ void Simulator::pop_min() {
 void Simulator::run_until(Time horizon) {
   EventSlab* const slab = slab_;
   for (;;) {
-    // Cooperative wall-deadline poll: one mask test per event keeps the
-    // unarmed cost invisible, yet a wedged cell still surfaces within 64k
-    // events instead of holding its sweep slot forever.
-    if ((executed_ & 0xFFFFu) == 0) poll_thread_wall_deadline();
     // Merge-pop: the wheel's front run and the heap top compete on the same
     // 128-bit (time bits ‖ seq) key, so the interleaved execution order is
     // bit-identical to the single-heap kernel. peek() may advance the wheel

@@ -51,30 +51,6 @@ namespace ebrc::sim {
 /// (one cache line per callback including the dispatch pointer).
 using EventFn = InlineFunction<void(), 56>;
 
-/// Thrown out of Simulator::run / run_until by the cooperative wall-clock
-/// deadline poll (see arm_thread_wall_deadline).
-class WallDeadlineError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Arms a wall-clock deadline for simulators running on the CURRENT thread:
-/// run_until polls it once per 64k executed events (a mask test plus, on the
-/// rare hit, one clock read) and throws WallDeadlineError once the deadline
-/// has passed — so a runaway cell times out mid-run instead of only at
-/// attempt completion. Thread-local by design: each BatchRunner worker arms
-/// it around its own cell without touching the others. Re-arming replaces
-/// the previous deadline.
-void arm_thread_wall_deadline(double seconds_from_now);
-void disarm_thread_wall_deadline() noexcept;
-[[nodiscard]] bool thread_wall_deadline_armed() noexcept;
-
-/// Throws WallDeadlineError if a deadline is armed on this thread and has
-/// expired; otherwise returns. The deadline stays armed across the throw
-/// (the arming scope disarms it), so long-running non-simulator loops can
-/// also poll this.
-void poll_thread_wall_deadline();
-
 /// Pool of event slots. A slot is identified by (index, generation);
 /// retiring a slot bumps its generation, so handles to a recycled slot go
 /// stale instead of observing the next event that reuses it. The slot also

@@ -21,7 +21,6 @@
 #include "obs/run_obs.hpp"
 #include "obs/trace.hpp"
 #include "sim/random.hpp"
-#include "sim/simulator.hpp"
 #include "testbed/fault_injection.hpp"
 #include "testbed/result_store.hpp"
 #include "testbed/scenario_io.hpp"
@@ -227,21 +226,12 @@ namespace {
 // ---- cell-keyed fault injections --------------------------------------------
 
 /// Wedges the current attempt. In a worker subprocess we sleep far past any
-/// deadline and let the supervisor's SIGKILL end it; in-process we spin on
-/// the cooperative wall-deadline poll, which throws once --cell-deadline
-/// expires (or immediately when none is armed — an undetectable in-process
-/// hang would otherwise wedge the whole sweep).
+/// deadline and let the supervisor's SIGKILL end it; in-process nothing can
+/// stop a wedged cell, so the injection throws at once instead of wedging
+/// the whole sweep.
 void hang_now(bool in_worker) {
-  if (in_worker) {
-    for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
-  }
-  if (!sim::thread_wall_deadline_armed()) {
-    throw std::runtime_error("injected fault: hang with no --cell-deadline armed");
-  }
-  for (;;) {
-    sim::poll_thread_wall_deadline();
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  if (!in_worker) throw std::runtime_error("injected fault: hang (in-process, not wedged)");
+  for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
 }
 
 /// Allocation storm. In a worker subprocess: cap our own address space, then
@@ -288,22 +278,6 @@ void fire_cell_injections(std::size_t i, int attempt, bool in_worker) {
   if (fault::fire(fault::Kind::kOomStorm, i, attempt)) oom_now(in_worker, i);
 }
 
-/// Arms the thread-local cooperative deadline for one in-process attempt.
-struct WallDeadlineGuard {
-  bool armed = false;
-  explicit WallDeadlineGuard(double seconds) {
-    if (seconds > 0) {
-      sim::arm_thread_wall_deadline(seconds);
-      armed = true;
-    }
-  }
-  ~WallDeadlineGuard() {
-    if (armed) sim::disarm_thread_wall_deadline();
-  }
-  WallDeadlineGuard(const WallDeadlineGuard&) = delete;
-  WallDeadlineGuard& operator=(const WallDeadlineGuard&) = delete;
-};
-
 // ---- process-isolated cell execution ----------------------------------------
 
 /// Writes `payload` via temp + rename so the parent never reads a torn file.
@@ -337,13 +311,12 @@ struct WorkerReturn {
 };
 
 /// One supervised attempt of one cell. The forked child re-runs the exact
-/// in-process executor (same code, same seed — bit-identical numbers),
-/// stores through its OWN ResultStore (fork can snapshot the parent's store
-/// mutexes mid-lock; a fresh instance has fresh mutexes and the on-disk
-/// format is concurrent-writer safe), and hands the encoded result back
-/// through a temp+rename file the parent decodes after reaping.
+/// in-process executor (same code, same seed — bit-identical numbers) and
+/// hands the encoded result back through a temp+rename file the parent
+/// decodes after reaping. The child never touches the store: the parent
+/// writes it, exactly as for an in-process cell.
 [[nodiscard]] WorkerReturn run_cell_worker(const Scenario& sc, std::size_t i, int attempt,
-                                           const ResultStore* store, const RunPolicy& policy) {
+                                           const RunPolicy& policy) {
   namespace fs = std::filesystem;
   const fs::path handoff =
       fs::temp_directory_path() /
@@ -351,8 +324,6 @@ struct WorkerReturn {
        std::to_string(attempt) + ".handoff");
   std::error_code ec;
   fs::remove(handoff, ec);
-  const fs::path store_root = store != nullptr ? store->root() : fs::path{};
-  const std::uint64_t store_salt = store != nullptr ? store->salt() : 0;
 
   // Crash forensics: whenever a crash dir is configured, the worker arms a
   // file-backed flight recorder. The mmap is MAP_SHARED, so the kernel's last
@@ -378,12 +349,7 @@ struct WorkerReturn {
           if (recorder != nullptr) ro.ring = recorder->ring();
         }
         fire_cell_injections(i, attempt, /*in_worker=*/true);
-        const ExperimentResult r = run_experiment(sc, &ro);
-        if (!store_root.empty()) {
-          const ResultStore child_store(store_root, store_salt);
-          child_store.store(sc, r);
-        }
-        write_handoff(handoff, encode_result(r));
+        write_handoff(handoff, encode_result(run_experiment(sc, &ro)));
         return 0;
       },
       limits);
@@ -476,6 +442,34 @@ void emit_event(const RunPolicy& policy, std::string_view event, std::size_t i,
                       extra_json);
 }
 
+/// Folds a failed worker attempt into `fail`: classification, diagnostic
+/// with the stderr tail, a repro bundle for an abnormal death, and the
+/// matching feed event. Removes the dead worker's flight-recorder file.
+void record_worker_failure(const RunPolicy& policy, std::size_t i, int attempt,
+                           const Scenario& sc, const WorkerReturn& wr, CellFailure& fail) {
+  fail.elapsed_s = wr.outcome.elapsed_s;
+  fail.max_rss_kb = wr.outcome.max_rss_kb;
+  fail.crashed = wr.outcome.crashed;
+  fail.signal = wr.outcome.term_signal;
+  fail.timed_out = wr.outcome.killed;
+  fail.what = wr.outcome.describe();
+  if (const std::string snippet = tail_snippet(wr.outcome.stderr_tail); !snippet.empty()) {
+    fail.what += "; stderr: " + snippet;
+  }
+  if (wr.outcome.crashed || wr.outcome.killed) {
+    write_crash_bundle(policy, i, attempt, sc, wr.outcome, wr.flight_path);
+  }
+  if (!wr.flight_path.empty()) {
+    std::error_code ec;
+    std::filesystem::remove(wr.flight_path, ec);
+  }
+  emit_event(policy,
+             wr.outcome.killed    ? "cell_killed"
+             : wr.outcome.crashed ? "cell_crashed"
+                                  : "cell_failed",
+             i, sc, attempt, wr.outcome.elapsed_s, wr.outcome.max_rss_kb, fail.what);
+}
+
 /// Renders a result's obs snapshot as a `,"obs":{...}` feed fragment (empty
 /// string when the snapshot is empty). Non-finite values are emitted as 0 so
 /// every feed line stays strict JSON.
@@ -502,6 +496,14 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
                                                const ResultStore* store, ShardSpec shard,
                                                SweepReport* report,
                                                const RunPolicy& policy) const {
+  if (policy.isolate != IsolationMode::kProcess &&
+      (policy.cell_deadline_s > 0 || policy.max_retries > 0)) {
+    // Only a supervised worker can be killed at a deadline, and an
+    // in-process retry reruns a deterministic cell on the same seed.
+    throw std::invalid_argument(
+        "BatchRunner::run: cell_deadline_s and max_retries need IsolationMode::kProcess "
+        "(--isolate=process)");
+  }
   const std::size_t n = scenarios.size();
   std::vector<ExperimentResult> out(n);
   SweepReport rep;
@@ -529,10 +531,11 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
 
   // Phase 2: simulate the misses this shard owns, persisting each result as
   // it lands so an interrupted sweep keeps its finished work. Each cell runs
-  // an attempt loop — retries reuse the cell's UNCHANGED derived seed, so a
-  // recovered transient failure is bit-identical to a run that never failed
-  // (common random numbers survive). Under keep_going a cell that exhausts
-  // its attempts becomes a CellFailure instead of aborting the sweep.
+  // an attempt loop — retries (process isolation only) reuse the cell's
+  // UNCHANGED derived seed, so a recovered transient failure is
+  // bit-identical to a run that never failed (common random numbers
+  // survive). Under keep_going a cell that exhausts its attempts becomes a
+  // CellFailure instead of aborting the sweep.
   std::vector<std::size_t> todo;
   for (std::size_t i = 0; i < n; ++i) {
     if (hit[i] != 0) {
@@ -552,7 +555,6 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
     const std::size_t i = todo[k];
     const Scenario& sc = scenarios[i];
     const int attempts_allowed = 1 + std::max(0, policy.max_retries);
-    const bool isolate = policy.isolate == IsolationMode::kProcess;
     CellFailure fail;
     fail.index = i;
     fail.scenario = sc.name;
@@ -562,12 +564,6 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
       if (attempt > 0) {
         retried.fetch_add(1, std::memory_order_relaxed);
         emit_event(policy, "retry", i, sc, attempt);
-        if (policy.backoff_base_s > 0) {
-          // Deterministic exponential backoff: base * 2^(attempt-1).
-          const double scale = static_cast<double>(1ull << std::min(attempt - 1, 30));
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(policy.backoff_base_s * scale));
-        }
       }
       fail.attempts = attempt + 1;
       fail.timed_out = false;
@@ -575,85 +571,37 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
       fail.signal = 0;
       emit_event(policy, "cell_start", i, sc, attempt);
       const auto t0 = std::chrono::steady_clock::now();
-
-      if (isolate) {
-        // Process isolation: the attempt runs in a forked, supervised
-        // worker; any way it can die — throw, SIGSEGV, OOM kill, wedge —
-        // lands here as a WorkerOutcome instead of taking the sweep down.
-        WorkerReturn wr = run_cell_worker(sc, i, attempt, store, policy);
-        fail.elapsed_s = wr.outcome.elapsed_s;
-        fail.max_rss_kb = wr.outcome.max_rss_kb;
-        if (wr.result) {
-          out[i] = std::move(*wr.result);
-          // The worker stored the entry and appended the on-disk index
-          // record itself; admit the key so this process's index agrees.
-          if (store != nullptr) store->admit(sc);
-          done[i] = 1;
-          if (policy.trace != nullptr) {
-            // The worker's in-memory trace buffer died with the worker; the
-            // parent still contributes the attempt span (retries included:
-            // attempt > 0 names itself).
-            obs::CellTrace t;
-            t.span(0.0, sc.duration_s,
-                   attempt > 0 ? "attempt (retry " + std::to_string(attempt) + ")"
-                               : "attempt",
-                   "run");
-            policy.trace->absorb(i, sc.name, std::move(t));
-          }
-          emit_event(policy, "cell_done", i, sc, attempt, wr.outcome.elapsed_s,
-                     wr.outcome.max_rss_kb, {}, obs_json(out[i].obs));
-          return;
-        }
-        fail.crashed = wr.outcome.crashed;
-        fail.signal = wr.outcome.term_signal;
-        fail.timed_out = wr.outcome.killed;
-        fail.what = wr.outcome.describe();
-        if (const std::string snippet = tail_snippet(wr.outcome.stderr_tail);
-            !snippet.empty()) {
-          fail.what += "; stderr: " + snippet;
-        }
-        if (wr.outcome.crashed || wr.outcome.killed) {
-          write_crash_bundle(policy, i, attempt, sc, wr.outcome, wr.flight_path);
-        }
-        if (!wr.flight_path.empty()) {
-          std::error_code flight_ec;
-          std::filesystem::remove(wr.flight_path, flight_ec);
-        }
-        emit_event(policy,
-                   wr.outcome.killed ? "cell_killed"
-                   : wr.outcome.crashed ? "cell_crashed"
-                                        : "cell_failed",
-                   i, sc, attempt, wr.outcome.elapsed_s, wr.outcome.max_rss_kb, fail.what);
-        continue;  // a retry (same seed) may clear a transient crash
-      }
-
       try {
-        // Arm the cooperative wall deadline before the injections so an
-        // injected in-process hang spins on a live deadline.
-        WallDeadlineGuard deadline_guard(policy.cell_deadline_s);
-        fire_cell_injections(i, attempt, /*in_worker=*/false);
-        // In-process observability: probes sample at policy.probe_interval_s
-        // and the cell's full trace (transfer spans, drop instants, probe
-        // counter tracks) is absorbed into the sweep-wide writer on success.
+        // In-process cells record their full trace (transfer spans, drop
+        // instants, probe counter tracks); an isolated worker's trace buffer
+        // dies with the worker, so its cell contributes only the attempt span.
         obs::CellTrace cell_trace;
-        obs::RunObs ro;
-        ro.probe_interval_s = policy.probe_interval_s;
-        ro.probe_capacity = policy.probe_capacity;
-        ro.trace = policy.trace != nullptr ? &cell_trace : nullptr;
-        ExperimentResult r = run_experiment(sc, &ro);
-        double elapsed = seconds_since(t0);
-        if (fault::fire(fault::Kind::kDeadlineOverrun, i, attempt)) {
-          elapsed = (policy.cell_deadline_s > 0 ? policy.cell_deadline_s : elapsed) + 1.0;
+        double elapsed = 0.0;
+        long rss_kb = -1;
+        if (policy.isolate == IsolationMode::kProcess) {
+          // Process isolation: the attempt runs in a forked, supervised
+          // worker; any way it can die — throw, SIGSEGV, OOM kill, wedge past
+          // the deadline — lands here as a WorkerOutcome instead of taking
+          // the sweep down.
+          WorkerReturn wr = run_cell_worker(sc, i, attempt, policy);
+          if (!wr.result) {
+            record_worker_failure(policy, i, attempt, sc, wr, fail);
+            continue;  // a retry (same seed) may clear a transient crash
+          }
+          out[i] = std::move(*wr.result);
+          elapsed = wr.outcome.elapsed_s;
+          rss_kb = wr.outcome.max_rss_kb;
+        } else {
+          fire_cell_injections(i, attempt, /*in_worker=*/false);
+          obs::RunObs ro;
+          ro.probe_interval_s = policy.probe_interval_s;
+          ro.probe_capacity = policy.probe_capacity;
+          ro.trace = policy.trace != nullptr ? &cell_trace : nullptr;
+          out[i] = run_experiment(sc, &ro);
+          elapsed = seconds_since(t0);
         }
-        fail.elapsed_s = elapsed;
-        if (policy.cell_deadline_s > 0 && elapsed > policy.cell_deadline_s) {
-          fail.timed_out = true;
-          fail.what = "cell exceeded --cell-deadline (" + std::to_string(elapsed) + " s > " +
-                      std::to_string(policy.cell_deadline_s) + " s)";
-          emit_event(policy, "cell_failed", i, sc, attempt, elapsed, -1, fail.what);
-          continue;  // a retry may clear a transient stall
-        }
-        out[i] = std::move(r);
+        // The one store write, whichever mode simulated the cell. A write
+        // that throws fails the attempt like any other exception.
         if (store != nullptr) store->store(sc, out[i]);
         done[i] = 1;
         if (policy.trace != nullptr) {
@@ -663,15 +611,9 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
                           "run");
           policy.trace->absorb(i, sc.name, std::move(cell_trace));
         }
-        emit_event(policy, "cell_done", i, sc, attempt, elapsed, -1, {},
+        emit_event(policy, "cell_done", i, sc, attempt, elapsed, rss_kb, {},
                    obs_json(out[i].obs));
         return;
-      } catch (const sim::WallDeadlineError& e) {
-        // The 64k-event poll preempted a cell running past --cell-deadline.
-        fail.elapsed_s = seconds_since(t0);
-        fail.timed_out = true;
-        fail.what = "cell exceeded --cell-deadline (" + std::to_string(fail.elapsed_s) +
-                    " s > " + std::to_string(policy.cell_deadline_s) + " s): " + e.what();
       } catch (const std::exception& e) {
         fail.elapsed_s = seconds_since(t0);
         fail.what = e.what();

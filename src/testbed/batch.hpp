@@ -2,11 +2,11 @@
 // across a bounded team of worker threads and aggregates the per-run
 // metrics. Workers are spawned per run()/map() call and joined before it
 // returns — there is no persistent pool, so a BatchRunner is cheap to
-// construct and carries no state beyond its job count. Every run owns its Simulator and Rng, and every Scenario carries a
-// seed assigned BEFORE the batch is launched (see replicate() and the sweep
-// generators in scenario_registry.hpp), so per-run results are bit-identical
-// regardless of how many workers the pool has — --jobs only changes
-// wall-clock time, never numbers.
+// construct and carries no state beyond its job count. Every run owns its
+// Simulator and Rng, and every Scenario carries a seed assigned BEFORE the
+// batch is launched (see replicate() and replicate_paired()), so per-run
+// results are bit-identical regardless of how many workers the pool has —
+// --jobs only changes wall-clock time, never numbers.
 #pragma once
 
 #include <atomic>
@@ -71,19 +71,25 @@ struct CellFailure {
 /// captured as CellFailures in the SweepReport, and an attached store makes
 /// a re-run simulate only the missing/failed cells, bit-identical to a
 /// clean cold run (seeds are never perturbed by retries or resumption).
+///
+/// Deadlines and retries belong to process isolation: only a supervised
+/// worker can be killed mid-cell or die without taking the sweep along, and
+/// an in-process retry would rerun a deterministic cell on the same seed.
+/// run() therefore rejects max_retries > 0 or cell_deadline_s > 0 unless
+/// isolate == kProcess; in-process, every cell runs exactly once.
 struct RunPolicy {
   bool keep_going = false;
-  int max_retries = 0;        // extra attempts per failing cell, same seed
-  double cell_deadline_s = 0;  // > 0: wall-clock budget per attempt
-  double backoff_base_s = 0;  // sleep base*2^k before retry k+1 (0 = none)
+  int max_retries = 0;         // extra attempts per failing cell, same seed (kProcess)
+  double cell_deadline_s = 0;  // > 0: SIGKILL an attempt after this many seconds (kProcess)
 
   /// kProcess runs every simulated attempt in a forked, supervised worker
   /// subprocess: a SIGSEGV/OOM-killed/wedged cell becomes a retryable
   /// CellFailure instead of taking the sweep down, and cell_deadline_s is
-  /// enforced with a hard SIGKILL rather than the cooperative in-process
-  /// poll. Results cross back bit-exactly (encoded double bit patterns), so
-  /// isolation never changes numbers. Cache probes stay in-process either
-  /// way — a warm sweep forks nothing.
+  /// enforced with a hard SIGKILL. The worker only simulates: its result
+  /// crosses back bit-exactly (encoded double bit patterns) and the parent
+  /// writes the store, so isolation never changes numbers or store
+  /// contents. Cache probes stay in-process either way — a warm sweep forks
+  /// nothing.
   IsolationMode isolate = IsolationMode::kInProcess;
   /// When non-empty, each crashed/killed cell leaves a repro bundle under
   /// <crash_dir>/cell-<index>/ (scenario TOML with the derived seed, the
@@ -211,11 +217,12 @@ class BatchRunner {
   ///
   /// `policy` governs failing cells (see RunPolicy): fail fast by default;
   /// under keep_going a failed cell is recorded in report->failures and the
-  /// rest of the sweep completes. The per-attempt deadline is cooperative
-  /// in-process — polled inside the simulator event loop every 64k events,
-  /// so a runaway cell times out mid-run — and a hard SIGKILL under
-  /// policy.isolate = kProcess. Either way a timed-out cell is excluded
-  /// from results and the store, exactly as if it had thrown.
+  /// rest of the sweep completes. A store write that throws fails the
+  /// attempt like a throwing cell. Under policy.isolate = kProcess the
+  /// per-attempt deadline is a hard SIGKILL, and a killed cell is excluded
+  /// from results and the store, exactly as if it had thrown. Throws
+  /// std::invalid_argument, before simulating anything, when the policy
+  /// asks for a deadline or retries without process isolation.
   [[nodiscard]] std::vector<ExperimentResult> run(const std::vector<Scenario>& scenarios,
                                                   const ResultStore* store,
                                                   ShardSpec shard = {},

@@ -35,9 +35,6 @@ std::atomic<std::uint64_t> g_fired{0};
   if (kind_name == "throw") {
     inj.kind = Kind::kThrow;
     takes_attempt = true;
-  } else if (kind_name == "timeout") {
-    inj.kind = Kind::kDeadlineOverrun;
-    takes_attempt = true;
   } else if (kind_name == "crash") {
     inj.kind = Kind::kCrash;
     takes_attempt = true;
@@ -54,7 +51,7 @@ std::atomic<std::uint64_t> g_fired{0};
   } else {
     throw std::invalid_argument(
         "fault plan: unknown kind '" + kind_name +
-        "' (known: throw, timeout, crash, hang, oom, torn-cache, torn-index) in '" + token + "'");
+        "' (known: throw, crash, hang, oom, torn-cache, torn-index) in '" + token + "'");
   }
 
   std::string rest = token.substr(at + 1);

@@ -11,12 +11,10 @@
 //
 //   kThrow            — throw from inside the cell executor. key = batch cell
 //                       index; fires on the spec's attempt (default 0, the
-//                       first try — so a sweep with --max-retries >= 1
-//                       recovers, modeling a transient infra failure;
-//                       attempt = kEveryAttempt makes it persistent).
-//   kDeadlineOverrun  — inflate the cell's measured wall-clock elapsed past
-//                       the configured --cell-deadline, as if the cell hung.
-//                       key = batch cell index; attempt as above.
+//                       first try — so an --isolate=process sweep with
+//                       --max-retries >= 1 recovers, modeling a transient
+//                       infra failure; attempt = kEveryAttempt makes it
+//                       persistent).
 //   kCrash            — abort() inside the cell executor, modeling SIGSEGV /
 //                       SIGABRT worker death. Under --isolate=process only
 //                       the worker subprocess dies; in-process it takes the
@@ -24,8 +22,8 @@
 //                       key = batch cell index; attempt as above.
 //   kHang             — wedge the cell: under --isolate=process the worker
 //                       sleeps far past any deadline until the supervisor
-//                       SIGKILLs it; in-process it spins on the cooperative
-//                       wall-deadline poll until that throws. key = batch
+//                       SIGKILLs it at --cell-deadline; in-process nothing
+//                       could stop it, so it throws at once. key = batch
 //                       cell index; attempt as above.
 //   kOomStorm         — allocate until the allocator gives out: under
 //                       --isolate=process the worker caps its own RLIMIT_AS,
@@ -36,17 +34,19 @@
 //   kTornCacheWrite   — truncate a ResultStore entry to half its size right
 //                       after the atomic rename, modeling post-crash on-disk
 //                       corruption. key = the store's write ordinal (0-based
-//                       count of store() calls on that ResultStore).
+//                       count of store() calls on that ResultStore; the
+//                       sweep's parent process makes every write, so the
+//                       ordinal is the same under --isolate=process).
 //   kTornIndexRecord  — write only a prefix of an INDEX.ebrcidx record,
 //                       modeling a crash mid-append. key = the store's index
 //                       append ordinal.
 //
 // Plans parse from a compact spec string (the --inject-faults value):
 //
-//   "throw@3,throw@7:1,timeout@5,crash@1:*,hang@2:*,oom@4,torn-cache@0"
+//   "throw@3,throw@7:1,crash@1:*,hang@2:*,oom@4,torn-cache@0"
 //
 // i.e. comma/semicolon-separated `kind@key[:attempt]` tokens where kind is
-// throw | timeout | crash | hang | oom | torn-cache | torn-index and
+// throw | crash | hang | oom | torn-cache | torn-index and
 // `:attempt` (all cell-keyed kinds) selects the attempt to fire on
 // (`:*` = every attempt).
 #pragma once
@@ -59,7 +59,6 @@ namespace ebrc::testbed::fault {
 
 enum class Kind {
   kThrow,
-  kDeadlineOverrun,
   kCrash,
   kHang,
   kOomStorm,

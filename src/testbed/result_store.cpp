@@ -367,12 +367,6 @@ bool ResultStore::index_contains(std::uint64_t fp, std::uint64_t seed) const {
 
 bool ResultStore::probe(const Scenario& s) const { return index_contains(fingerprint(s), s.seed); }
 
-void ResultStore::admit(const Scenario& s) const {
-  const IndexKey key{fingerprint(s), s.seed};
-  std::lock_guard<std::mutex> lock(index_mu_);
-  index_.insert(key);
-}
-
 std::filesystem::path ResultStore::path_for(std::uint64_t fp, std::uint64_t seed) const {
   const std::string name =
       hex16(fp) + "-" + hex16(seed) + "-" + hex16(salt_) + std::string(result_file_extension());

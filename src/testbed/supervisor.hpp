@@ -15,8 +15,10 @@
 //    results are an acceptance criterion). The child therefore inherits the
 //    parent's entire address space — including mutexes another BatchRunner
 //    thread may hold at the instant of fork. The worker body must only touch
-//    fork-safe state: fresh objects it constructs itself (e.g. its own
-//    ResultStore) and the lock-free fault_injection read path.
+//    fork-safe state: fresh objects it constructs itself and the lock-free
+//    fault_injection read path. Sweep workers never write the result store:
+//    they hand their bytes back and the parent stores them, so every store
+//    write and fault ordinal lives in one process.
 //  - The child's stdout AND stderr are both redirected onto the supervision
 //    pipe: the parent's stdout stays bit-comparable across runs no matter
 //    what a worker prints while dying.
@@ -51,10 +53,9 @@ enum class IsolationMode {
 
 /// Limits the supervisor enforces on one worker.
 struct WorkerLimits {
-  /// Hard wall-clock deadline in seconds; <= 0 disables the kill. Unlike the
-  /// in-process --cell-deadline (a cooperative poll), this one is enforced
-  /// with SIGKILL and therefore also stops cells wedged outside the
-  /// simulator event loop.
+  /// Hard wall-clock deadline in seconds; <= 0 disables the kill. This
+  /// SIGKILL is the sweep's only cell deadline (--cell-deadline); it stops a
+  /// wedged cell wherever it is stuck.
   double deadline_s = 0.0;
   /// How much of the end of the worker's stderr to keep.
   std::size_t stderr_tail_bytes = 8192;

@@ -32,8 +32,8 @@ class Argv {
 TEST(BenchArgs, SweepFlagsRoundTrip) {
   Argv a({"--full", "--seed=9223372036854775819", "--reps=3", "--jobs=4",
           "--duration=12.5", "--cache=/tmp/cache", "--shard-index=1", "--shard-count=2",
-          "--summary-out=sum.txt", "--csv=out.csv", "--keep-going", "--max-retries=2",
-          "--retry-backoff=0.5", "--cell-deadline=30", "--events-out=ev.jsonl"});
+          "--summary-out=sum.txt", "--csv=out.csv", "--keep-going", "--isolate=process",
+          "--max-retries=2", "--cell-deadline=30", "--events-out=ev.jsonl"});
   BenchArgs args(a.argc(), a.argv(), ebrc::bench::kSweepFlags);
   args.cli.finish();
   EXPECT_TRUE(args.full);
@@ -51,8 +51,8 @@ TEST(BenchArgs, SweepFlagsRoundTrip) {
   ASSERT_TRUE(args.csv_path.has_value());
   EXPECT_EQ(*args.csv_path, "out.csv");
   EXPECT_TRUE(args.keep_going);
+  EXPECT_EQ(args.isolate, ebrc::testbed::IsolationMode::kProcess);
   EXPECT_EQ(args.max_retries, 2);
-  EXPECT_DOUBLE_EQ(args.retry_backoff_s, 0.5);
   EXPECT_DOUBLE_EQ(args.cell_deadline_s, 30.0);
   ASSERT_TRUE(args.events_out.has_value());
   EXPECT_EQ(*args.events_out, "ev.jsonl");
@@ -75,7 +75,7 @@ TEST(BenchArgs, DefaultsWhenNoFlags) {
 TEST(BenchArgs, StrictParsingRejectsUnitSuffixes) {
   // The historical failure: --cell-deadline=10s parsed as 10 via bare stod.
   {
-    Argv a({"--cell-deadline=10s"});
+    Argv a({"--isolate=process", "--cell-deadline=10s"});
     EXPECT_THROW(BenchArgs(a.argc(), a.argv(), ebrc::bench::kSweepFlags),
                  std::invalid_argument);
   }
@@ -86,11 +86,6 @@ TEST(BenchArgs, StrictParsingRejectsUnitSuffixes) {
   }
   {
     Argv a({"--reps=1e2"});  // stoi would read 1
-    EXPECT_THROW(BenchArgs(a.argc(), a.argv(), ebrc::bench::kSweepFlags),
-                 std::invalid_argument);
-  }
-  {
-    Argv a({"--retry-backoff=0.5sec"});
     EXPECT_THROW(BenchArgs(a.argc(), a.argv(), ebrc::bench::kSweepFlags),
                  std::invalid_argument);
   }
@@ -108,10 +103,32 @@ TEST(BenchArgs, RangeGuardsStillFire) {
                  std::invalid_argument);
   }
   {
-    Argv a({"--cell-deadline=-1"});
+    Argv a({"--isolate=process", "--cell-deadline=-1"});
     EXPECT_THROW(BenchArgs(a.argc(), a.argv(), ebrc::bench::kSweepFlags),
                  std::invalid_argument);
   }
+}
+
+// Deadlines and retries exist only under process isolation: without it the
+// flags are refused at construction, naming the flag that would enable them.
+TEST(BenchArgs, DeadlineAndRetriesRequireProcessIsolation) {
+  for (const char* flag : {"--cell-deadline=5", "--max-retries=1"}) {
+    Argv a({flag});
+    try {
+      BenchArgs args(a.argc(), a.argv(), ebrc::bench::kSweepFlags);
+      ADD_FAILURE() << flag << " without --isolate=process was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--isolate=process"), std::string::npos) << e.what();
+    }
+    Argv none({flag, "--isolate=none"});
+    EXPECT_THROW(BenchArgs(none.argc(), none.argv(), ebrc::bench::kSweepFlags),
+                 std::invalid_argument);
+  }
+  Argv a({"--isolate=process", "--cell-deadline=5", "--max-retries=1"});
+  BenchArgs args(a.argc(), a.argv(), ebrc::bench::kSweepFlags);
+  args.cli.finish();
+  EXPECT_DOUBLE_EQ(args.cell_deadline_s, 5.0);
+  EXPECT_EQ(args.max_retries, 1);
 }
 
 }  // namespace

@@ -2,11 +2,15 @@
 //   * keep_going isolates K injected cell failures — every healthy cell
 //     completes bit-identical to a fault-free run and the failure manifest
 //     lists exactly the K injected cells,
-//   * retries reuse the cell's unchanged seed, so a recovered transient
-//     fault is bit-identical to a run that never failed (CRN preserved),
+//   * retries (process isolation only) reuse the cell's unchanged seed, so a
+//     recovered transient fault is bit-identical to a run that never failed
+//     (CRN preserved),
 //   * a resumed sweep over the same store simulates ONLY the failed cells
 //     and converges to bitwise equality with a clean cold run,
-//   * a deadline overrun is captured as a timed_out CellFailure,
+//   * deadlines and retries without process isolation are rejected, and an
+//     isolated hang is SIGKILLed at its deadline,
+//   * the parent process makes every store write, so a torn-cache injection
+//     tears exactly one entry in either isolation mode,
 //   * fail-fast (the default) rethrows with the cell named,
 //   * the --inject-faults spec parser and the failure-manifest file format
 //     round-trip and reject malformed input.
@@ -95,19 +99,17 @@ void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
 
 TEST(FaultInjection, PlanSpecParsesAndRejectsMalformedInput) {
   const auto plan =
-      fault::parse_plan("throw@3,throw@7:1,timeout@5:*,torn-cache@0;torn-index@2");
-  ASSERT_EQ(plan.size(), 5u);
+      fault::parse_plan("throw@3,throw@7:1,torn-cache@0;torn-index@2");
+  ASSERT_EQ(plan.size(), 4u);
   EXPECT_EQ(plan[0].kind, fault::Kind::kThrow);
   EXPECT_EQ(plan[0].key, 3u);
   EXPECT_EQ(plan[0].attempt, 0);
   EXPECT_EQ(plan[1].kind, fault::Kind::kThrow);
   EXPECT_EQ(plan[1].key, 7u);
   EXPECT_EQ(plan[1].attempt, 1);
-  EXPECT_EQ(plan[2].kind, fault::Kind::kDeadlineOverrun);
-  EXPECT_EQ(plan[2].attempt, fault::kEveryAttempt);
-  EXPECT_EQ(plan[3].kind, fault::Kind::kTornCacheWrite);
-  EXPECT_EQ(plan[4].kind, fault::Kind::kTornIndexRecord);
-  EXPECT_EQ(plan[4].key, 2u);
+  EXPECT_EQ(plan[2].kind, fault::Kind::kTornCacheWrite);
+  EXPECT_EQ(plan[3].kind, fault::Kind::kTornIndexRecord);
+  EXPECT_EQ(plan[3].key, 2u);
 
   const auto process_plan = fault::parse_plan("crash@1:*,hang@2,oom@4:1");
   ASSERT_EQ(process_plan.size(), 3u);
@@ -141,7 +143,7 @@ TEST(FaultInjection, FireMatchesKeyAndAttemptAndCounts) {
   EXPECT_TRUE(fault::fire(fault::Kind::kThrow, 2, 0));
   EXPECT_TRUE(fault::fire(fault::Kind::kThrow, 5, 0));  // every attempt
   EXPECT_TRUE(fault::fire(fault::Kind::kThrow, 5, 3));
-  EXPECT_FALSE(fault::fire(fault::Kind::kDeadlineOverrun, 2, 0));  // wrong kind
+  EXPECT_FALSE(fault::fire(fault::Kind::kCrash, 2, 0));  // wrong kind
   EXPECT_TRUE(fault::fire(fault::Kind::kTornCacheWrite, 1));
   EXPECT_EQ(fault::fired(), 4u);
 
@@ -196,6 +198,7 @@ TEST(FaultTolerance, RetryRecoversTransientFaultBitIdentically) {
   fault::arm({{fault::Kind::kThrow, 2, /*attempt=*/0}});
   RunPolicy policy;
   policy.max_retries = 1;
+  policy.isolate = ebrc::testbed::IsolationMode::kProcess;
   SweepReport rep;
   const auto out = runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
 
@@ -243,28 +246,43 @@ TEST(FaultTolerance, ResumeConvergesToCleanColdRun) {
   EXPECT_EQ(warm.simulated, 0u);
 }
 
-TEST(FaultTolerance, DeadlineOverrunIsCapturedAsTimedOutFailure) {
+TEST(FaultTolerance, DeadlineAndRetriesWithoutIsolationAreRejected) {
   FaultGuard guard;
   const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/19, /*reps=*/2);
   const BatchRunner runner(2);
+  fault::arm({{fault::Kind::kThrow, 0, fault::kEveryAttempt}});
+  RunPolicy deadline;
+  deadline.cell_deadline_s = 600.0;
+  RunPolicy retries;
+  retries.max_retries = 1;
+  for (const RunPolicy& policy : {deadline, retries}) {
+    // Rejected before any cell runs: the armed throw would otherwise name
+    // cell #0 in a runtime_error.
+    EXPECT_THROW((void)runner.run(batch, nullptr, ShardSpec{}, nullptr, policy),
+                 std::invalid_argument);
+  }
+}
 
-  // The injection inflates the measured wall-clock past the (generous)
-  // deadline, so the check trips deterministically without a real hang.
-  fault::arm({{fault::Kind::kDeadlineOverrun, 0, fault::kEveryAttempt}});
+TEST(FaultTolerance, InProcessHangThrowsAtOnce) {
+  FaultGuard guard;
+  const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/47, /*reps=*/2);
+  const BatchRunner runner(2);
+
+  // Nothing in-process can stop a wedged cell, so the injection throws
+  // instead of wedging the sweep.
+  fault::arm({{fault::Kind::kHang, 1, fault::kEveryAttempt}});
   RunPolicy policy;
   policy.keep_going = true;
-  policy.cell_deadline_s = 600.0;
   SweepReport rep;
   (void)runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
 
   EXPECT_EQ(rep.failed, 1u);
-  EXPECT_EQ(rep.timed_out, 1u);
+  EXPECT_EQ(rep.timed_out, 0u);
+  EXPECT_EQ(rep.simulated, 1u);
   ASSERT_EQ(rep.failures.size(), 1u);
-  EXPECT_EQ(rep.failures[0].index, 0u);
-  EXPECT_TRUE(rep.failures[0].timed_out);
-  EXPECT_GT(rep.failures[0].elapsed_s, policy.cell_deadline_s);
-  EXPECT_NE(rep.failures[0].what.find("--cell-deadline"), std::string::npos);
-  EXPECT_EQ(rep.simulated, 1u);  // the healthy cell still completed
+  EXPECT_EQ(rep.failures[0].index, 1u);
+  EXPECT_NE(rep.failures[0].what.find("injected fault: hang"), std::string::npos)
+      << rep.failures[0].what;
 }
 
 TEST(FaultTolerance, FailFastNamesTheFailingCell) {
@@ -460,6 +478,38 @@ TEST(ProcessIsolation, HungWorkerIsKilledAtTheHardDeadline) {
   EXPECT_LT(rep.failures[0].elapsed_s, 60.0) << "the kill must not wait out the hang";
 }
 
+TEST(ProcessIsolation, ParentOwnsStoreWritesSoATornCacheOrdinalTearsOneEntry) {
+  FaultGuard guard;
+  TempDir dir;
+  const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/59, /*reps=*/4);
+  const BatchRunner runner(2);
+  RunPolicy policy;
+  policy.keep_going = true;
+  policy.isolate = ebrc::testbed::IsolationMode::kProcess;
+
+  // Write ordinal 0 is torn. Workers do not write the store, so there is one
+  // ordinal sequence for the sweep — one torn entry, not one per worker.
+  fault::arm({{fault::Kind::kTornCacheWrite, 0}});
+  SweepReport cold;
+  {
+    const ResultStore store(dir.path / "cache");
+    (void)runner.run(batch, &store, ShardSpec{}, &cold, policy);
+    EXPECT_EQ(cold.simulated, batch.size());
+    EXPECT_EQ(store.counters().stored, cold.simulated);
+  }
+  fault::disarm();
+
+  const ResultStore fresh(dir.path / "cache");
+  SweepReport warm;
+  (void)runner.run(batch, &fresh, ShardSpec{}, &warm, policy);
+  EXPECT_EQ(fresh.counters().corrupt, 1u);
+  EXPECT_EQ(warm.quarantined, 1u);
+  EXPECT_EQ(warm.hits, 3u);
+  EXPECT_EQ(warm.simulated, 1u);
+  EXPECT_EQ(fresh.counters().stored, warm.simulated);
+  EXPECT_TRUE(warm.complete());
+}
+
 TEST(ProcessIsolation, InjectedOomStormIsContainedAndAttributed) {
   FaultGuard guard;
   const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/41, /*reps=*/2);
@@ -481,55 +531,6 @@ TEST(ProcessIsolation, InjectedOomStormIsContainedAndAttributed) {
       << rep.failures[0].what;
 }
 
-// ---- preemptive in-process deadline -----------------------------------------
-
-TEST(InProcessDeadline, EventLoopPollPreemptsARunawayCellMidRun) {
-  FaultGuard guard;
-  // A cell that would simulate ~1e9 seconds: completing it would take hours,
-  // so the ONLY way this test finishes promptly is the 64k-event poll inside
-  // Simulator::run throwing WallDeadlineError mid-run.
-  Scenario runaway = short_ns2(0);
-  runaway.duration_s = 1.0e9;
-  runaway.warmup_s = 1.0;
-  const auto batch = ebrc::testbed::replicate(runaway, /*root_seed=*/43, /*reps=*/1);
-  const BatchRunner runner(1);
-
-  RunPolicy policy;
-  policy.keep_going = true;
-  policy.cell_deadline_s = 0.3;
-  SweepReport rep;
-  (void)runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
-
-  EXPECT_EQ(rep.failed, 1u);
-  EXPECT_EQ(rep.timed_out, 1u);
-  ASSERT_EQ(rep.failures.size(), 1u);
-  EXPECT_TRUE(rep.failures[0].timed_out);
-  EXPECT_GE(rep.failures[0].elapsed_s, 0.3);
-  EXPECT_LT(rep.failures[0].elapsed_s, 120.0);
-  EXPECT_NE(rep.failures[0].what.find("--cell-deadline"), std::string::npos)
-      << rep.failures[0].what;
-}
-
-TEST(InProcessDeadline, InjectedHangTimesOutViaCooperativePoll) {
-  FaultGuard guard;
-  const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/47, /*reps=*/2);
-  const BatchRunner runner(2);
-
-  fault::arm({{fault::Kind::kHang, 1, fault::kEveryAttempt}});
-  RunPolicy policy;
-  policy.keep_going = true;
-  policy.cell_deadline_s = 0.3;
-  SweepReport rep;
-  (void)runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
-
-  EXPECT_EQ(rep.failed, 1u);
-  EXPECT_EQ(rep.timed_out, 1u);
-  EXPECT_EQ(rep.simulated, 1u);
-  ASSERT_EQ(rep.failures.size(), 1u);
-  EXPECT_EQ(rep.failures[0].index, 1u);
-  EXPECT_TRUE(rep.failures[0].timed_out);
-}
-
 // ---- event feed through the batch layer -------------------------------------
 
 TEST(EventFeed, SweepEmitsLifecycleEvents) {
@@ -538,26 +539,48 @@ TEST(EventFeed, SweepEmitsLifecycleEvents) {
   const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/53, /*reps=*/3);
   const BatchRunner runner(2);
 
-  // Cell 1: throws on attempt 0, recovers on attempt 1 → retry + cell_done.
-  // Cell 2: throws on every attempt → cell_failed.
-  fault::arm({{fault::Kind::kThrow, 1, 0}, {fault::Kind::kThrow, 2, fault::kEveryAttempt}});
-  const fs::path feed_path = dir.path / "events.jsonl";
-  ebrc::testbed::SweepEventFeed feed(feed_path);
-  RunPolicy policy;
-  policy.keep_going = true;
-  policy.max_retries = 1;
-  policy.events = &feed;
-  SweepReport rep;
-  (void)runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
-  EXPECT_EQ(rep.failed, 1u);
+  const auto read_feed = [](const fs::path& path) {
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  };
 
-  std::ifstream in(feed_path);
-  std::string all((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // In-process, cell 2 throws on every attempt → cell_failed.
+  fault::arm({{fault::Kind::kThrow, 2, fault::kEveryAttempt}});
+  const fs::path feed_path = dir.path / "events.jsonl";
+  {
+    ebrc::testbed::SweepEventFeed feed(feed_path);
+    RunPolicy policy;
+    policy.keep_going = true;
+    policy.events = &feed;
+    SweepReport rep;
+    (void)runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
+    EXPECT_EQ(rep.failed, 1u);
+  }
+  const std::string all = read_feed(feed_path);
   EXPECT_NE(all.find("\"event\":\"cell_start\""), std::string::npos);
   EXPECT_NE(all.find("\"event\":\"cell_done\""), std::string::npos);
-  EXPECT_NE(all.find("\"event\":\"retry\""), std::string::npos);
   EXPECT_NE(all.find("\"event\":\"cell_failed\""), std::string::npos);
   EXPECT_NE(all.find("\"detail\":\"injected fault"), std::string::npos);
+
+  // Under process isolation, cell 1 throws on attempt 0 and recovers on
+  // attempt 1 → retry + cell_done.
+  fault::arm({{fault::Kind::kThrow, 1, 0}});
+  const fs::path retry_path = dir.path / "retry-events.jsonl";
+  {
+    ebrc::testbed::SweepEventFeed feed(retry_path);
+    RunPolicy policy;
+    policy.keep_going = true;
+    policy.max_retries = 1;
+    policy.isolate = ebrc::testbed::IsolationMode::kProcess;
+    policy.events = &feed;
+    SweepReport rep;
+    (void)runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
+    EXPECT_EQ(rep.failed, 0u);
+    EXPECT_EQ(rep.retried, 1u);
+  }
+  const std::string retried = read_feed(retry_path);
+  EXPECT_NE(retried.find("\"event\":\"retry\""), std::string::npos);
+  EXPECT_NE(retried.find("\"event\":\"cell_done\""), std::string::npos);
 }
 
 }  // namespace

@@ -301,23 +301,4 @@ TEST(ShiftedExpFor, RealizesTargetMoments) {
   EXPECT_THROW((void)ebrc::sim::shifted_exp_for(-0.1, 0.5), std::invalid_argument);
 }
 
-TEST(Simulator, WallDeadlinePreemptsAnInfiniteEventChain) {
-  // A self-rescheduling chain that never drains: without the cooperative
-  // 64k-event poll in run_until this test would spin forever.
-  Simulator s;
-  std::function<void()> chain = [&] { s.schedule(1.0, chain); };
-  s.schedule(1.0, chain);
-  ebrc::sim::arm_thread_wall_deadline(0.2);
-  EXPECT_THROW(s.run(), ebrc::sim::WallDeadlineError);
-  ebrc::sim::disarm_thread_wall_deadline();
-  EXPECT_FALSE(ebrc::sim::thread_wall_deadline_armed());
-
-  // Disarmed, a finite run is unaffected.
-  Simulator s2;
-  int fired = 0;
-  s2.schedule(1.0, [&] { ++fired; });
-  s2.run();
-  EXPECT_EQ(fired, 1);
-}
-
 }  // namespace

@@ -5,7 +5,6 @@
 #include "sim/random.hpp"
 #include "stats/autocovariance.hpp"
 #include "stats/binned.hpp"
-#include "stats/histogram.hpp"
 #include "stats/loss_events.hpp"
 #include "stats/online.hpp"
 #include "stats/time_average.hpp"
@@ -125,19 +124,6 @@ TEST(StudentT, QuantileTable) {
   EXPECT_NEAR(t_quantile_975(1), 12.706, 1e-3);
   EXPECT_NEAR(t_quantile_975(5), 2.571, 1e-3);
   EXPECT_NEAR(t_quantile_975(100), 1.96, 1e-3);
-}
-
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 1000; ++i) h.add(i % 10 + 0.5);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 0.6);
-  h.add(-5.0);
-  h.add(50.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
 }
 
 TEST(LossEventRecorder, GroupsLossesWithinRtt) {
