@@ -78,6 +78,78 @@ struct ExperimentResult {
   [[nodiscard]] std::vector<const FlowStats*> of_kind(const std::string& kind) const;
 };
 
+// ---- the single field traversal ---------------------------------------------
+// Every cached ExperimentResult field is listed exactly once, here, in cache
+// payload order. The result-store codec, aggregate()'s metric keys and the
+// tests' exhaustive comparator all walk this function, so adding a metric is
+// one line below plus a kResultCacheSalt bump (result_store.hpp). R is
+// ExperimentResult or const ExperimentResult; the visitor supplies
+//   field(name, ref)               one scalar (std::string, int, uint64, double)
+//   flows(vec, fn)                 the per-flow records; fn(v, flow) lists one
+//   workload(active, summary, fn)  the churn flag, then fn(v, summary)
+//   snapshot(obs)                  the obs::Registry snapshot
+// obs_series is deliberately absent: probe series are never cached.
+
+template <class V, class R>
+void visit_result(V& v, R& r) {
+  v.field("scenario_name", r.scenario_name);
+  v.flows(r.flows, [](auto& vv, auto& f) {
+    vv.field("kind", f.kind);
+    vv.field("flow_id", f.flow_id);
+    vv.field("throughput_pps", f.throughput_pps);
+    vv.field("p", f.p);
+    vv.field("mean_rtt_s", f.mean_rtt_s);
+    vv.field("formula_rate", f.formula_rate);
+    vv.field("normalized", f.normalized);
+    vv.field("cov_theta_thetahat", f.cov_theta_thetahat);
+    vv.field("normalized_cov", f.normalized_cov);
+    vv.field("loss_events", f.loss_events);
+  });
+  v.field("tfrc_throughput", r.tfrc_throughput);
+  v.field("tcp_throughput", r.tcp_throughput);
+  v.field("tfrc_p", r.tfrc_p);
+  v.field("tcp_p", r.tcp_p);
+  v.field("poisson_p", r.poisson_p);
+  v.field("tfrc_rtt", r.tfrc_rtt);
+  v.field("tcp_rtt", r.tcp_rtt);
+  v.field("bottleneck_utilization", r.bottleneck_utilization);
+  v.field("conservativeness", r.breakdown.conservativeness);
+  v.field("loss_rate_ratio", r.breakdown.loss_rate_ratio);
+  v.field("rtt_ratio", r.breakdown.rtt_ratio);
+  v.field("tcp_formula_ratio", r.breakdown.tcp_formula_ratio);
+  v.field("friendliness", r.breakdown.friendliness);
+  v.workload(r.workload_active, r.workload, [](auto& vv, auto& wl) {
+    vv.field("arrivals", wl.arrivals);
+    vv.field("completions", wl.completions);
+    vv.field("rejections", wl.rejections);
+    vv.field("mean_flows", wl.mean_flows);
+    vv.field("mean_flows_tfrc", wl.mean_flows_tfrc);
+    vv.field("mean_flows_tcp", wl.mean_flows_tcp);
+    vv.field("peak_flows", wl.peak_flows);
+    vv.field("tfrc_completion_s", wl.tfrc_completion_s);
+    vv.field("tcp_completion_s", wl.tcp_completion_s);
+    vv.field("tfrc_completion_cov", wl.tfrc_completion_cov);
+    vv.field("tcp_completion_cov", wl.tcp_completion_cov);
+    vv.field("tfrc_goodput_pps", wl.tfrc_goodput_pps);
+    vv.field("tcp_goodput_pps", wl.tcp_goodput_pps);
+    vv.field("tfrc_share", wl.tfrc_share);
+    vv.field("tfrc_p", wl.tfrc_p);
+    vv.field("tcp_p", wl.tcp_p);
+    vv.field("mean_flows_aimd", wl.mean_flows_aimd);
+    vv.field("mean_flows_rcp", wl.mean_flows_rcp);
+    vv.field("aimd_completion_s", wl.aimd_completion_s);
+    vv.field("rcp_completion_s", wl.rcp_completion_s);
+    vv.field("aimd_completion_cov", wl.aimd_completion_cov);
+    vv.field("rcp_completion_cov", wl.rcp_completion_cov);
+    vv.field("aimd_goodput_pps", wl.aimd_goodput_pps);
+    vv.field("rcp_goodput_pps", wl.rcp_goodput_pps);
+    vv.field("aimd_p", wl.aimd_p);
+    vv.field("rcp_p", wl.rcp_p);
+    vv.field("qdelay_mean_s", wl.qdelay_mean_s);
+  });
+  v.snapshot(r.obs);
+}
+
 /// Runs the scenario to completion and computes all metrics. `ro` carries
 /// the optional observability request (probe interval, trace buffer, flight
 /// ring); null means instruments-only (snapshot still taken, no sampling).

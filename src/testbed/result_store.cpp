@@ -104,147 +104,79 @@ struct Header {
   return h;
 }
 
+/// visit_result visitor: appends each field in traversal order.
+struct PayloadWriter {
+  util::ByteWriter w;
+
+  void field(const char*, const std::string& v) { w.str(v); }
+  void field(const char*, int v) { w.i64(v); }
+  void field(const char*, std::uint64_t v) { w.u64(v); }
+  void field(const char*, double v) { w.f64(v); }
+  template <class Fn>
+  void flows(const std::vector<FlowStats>& flows, Fn fn) {
+    w.u64(flows.size());
+    for (const auto& f : flows) fn(*this, f);
+  }
+  template <class Fn>
+  void workload(bool active, const workload::WorkloadSummary& wl, Fn fn) {
+    w.u64(active ? 1 : 0);
+    fn(*this, wl);
+  }
+  void snapshot(const obs::Snapshot& obs) {
+    w.u64(obs.size());
+    for (const auto& [name, value] : obs) {
+      w.str(name);
+      w.f64(value);
+    }
+  }
+};
+
+/// visit_result visitor: the inverse of PayloadWriter. It never sizes a
+/// container from a count it has not yet paid for in bytes; decode_result
+/// rejects the payload unless every read landed and both counts were met.
+struct PayloadReader {
+  util::ByteReader r;
+  bool counts_match = true;
+
+  void field(const char*, std::string& v) { v = r.str(); }
+  void field(const char*, int& v) { v = static_cast<int>(r.i64()); }
+  void field(const char*, std::uint64_t& v) { v = r.u64(); }
+  void field(const char*, double& v) { v = r.f64(); }
+  template <class Fn>
+  void flows(std::vector<FlowStats>& flows, Fn fn) {
+    const std::uint64_t n = r.u64();
+    for (std::uint64_t i = 0; i < n && r.ok(); ++i) fn(*this, flows.emplace_back());
+    counts_match = counts_match && flows.size() == n;
+  }
+  template <class Fn>
+  void workload(bool& active, workload::WorkloadSummary& wl, Fn fn) {
+    active = r.u64() != 0;
+    fn(*this, wl);
+  }
+  void snapshot(obs::Snapshot& obs) {
+    const std::uint64_t n = r.u64();
+    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+      std::string name = r.str();
+      const double value = r.f64();
+      obs.emplace_back(std::move(name), value);
+    }
+    counts_match = counts_match && obs.size() == n;
+  }
+};
+
 }  // namespace
 
 std::string encode_result(const ExperimentResult& r) {
-  util::ByteWriter w;
-  w.str(r.scenario_name);
-  w.u64(r.flows.size());
-  for (const auto& f : r.flows) {
-    w.str(f.kind);
-    w.i64(f.flow_id);
-    w.f64(f.throughput_pps);
-    w.f64(f.p);
-    w.f64(f.mean_rtt_s);
-    w.f64(f.formula_rate);
-    w.f64(f.normalized);
-    w.f64(f.cov_theta_thetahat);
-    w.f64(f.normalized_cov);
-    w.u64(f.loss_events);
-  }
-  w.f64(r.tfrc_throughput);
-  w.f64(r.tcp_throughput);
-  w.f64(r.tfrc_p);
-  w.f64(r.tcp_p);
-  w.f64(r.poisson_p);
-  w.f64(r.tfrc_rtt);
-  w.f64(r.tcp_rtt);
-  w.f64(r.bottleneck_utilization);
-  w.f64(r.breakdown.conservativeness);
-  w.f64(r.breakdown.loss_rate_ratio);
-  w.f64(r.breakdown.rtt_ratio);
-  w.f64(r.breakdown.tcp_formula_ratio);
-  w.f64(r.breakdown.friendliness);
-  w.u64(r.workload_active ? 1 : 0);
-  const auto& wl = r.workload;
-  w.u64(wl.arrivals);
-  w.u64(wl.completions);
-  w.u64(wl.rejections);
-  w.f64(wl.mean_flows);
-  w.f64(wl.mean_flows_tfrc);
-  w.f64(wl.mean_flows_tcp);
-  w.u64(wl.peak_flows);
-  w.f64(wl.tfrc_completion_s);
-  w.f64(wl.tcp_completion_s);
-  w.f64(wl.tfrc_completion_cov);
-  w.f64(wl.tcp_completion_cov);
-  w.f64(wl.tfrc_goodput_pps);
-  w.f64(wl.tcp_goodput_pps);
-  w.f64(wl.tfrc_share);
-  w.f64(wl.tfrc_p);
-  w.f64(wl.tcp_p);
-  w.f64(wl.mean_flows_aimd);
-  w.f64(wl.mean_flows_rcp);
-  w.f64(wl.aimd_completion_s);
-  w.f64(wl.rcp_completion_s);
-  w.f64(wl.aimd_completion_cov);
-  w.f64(wl.rcp_completion_cov);
-  w.f64(wl.aimd_goodput_pps);
-  w.f64(wl.rcp_goodput_pps);
-  w.f64(wl.aimd_p);
-  w.f64(wl.rcp_p);
-  w.f64(wl.qdelay_mean_s);
-  // PR 10: the deterministic obs snapshot (probe series are deliberately NOT
-  // encoded — a cache hit has no simulator to sample).
-  w.u64(r.obs.size());
-  for (const auto& [name, value] : r.obs) {
-    w.str(name);
-    w.f64(value);
-  }
-  return w.take();
+  PayloadWriter v;
+  visit_result(v, r);
+  return v.w.take();
 }
 
 std::optional<ExperimentResult> decode_result(std::string_view payload) {
-  util::ByteReader r(payload);
+  PayloadReader v{util::ByteReader(payload)};
   ExperimentResult out;
-  out.scenario_name = r.str();
-  const std::uint64_t n_flows = r.u64();
-  for (std::uint64_t i = 0; i < n_flows && r.ok(); ++i) {
-    FlowStats f;
-    f.kind = r.str();
-    f.flow_id = static_cast<int>(r.i64());
-    f.throughput_pps = r.f64();
-    f.p = r.f64();
-    f.mean_rtt_s = r.f64();
-    f.formula_rate = r.f64();
-    f.normalized = r.f64();
-    f.cov_theta_thetahat = r.f64();
-    f.normalized_cov = r.f64();
-    f.loss_events = r.u64();
-    out.flows.push_back(std::move(f));
-  }
-  out.tfrc_throughput = r.f64();
-  out.tcp_throughput = r.f64();
-  out.tfrc_p = r.f64();
-  out.tcp_p = r.f64();
-  out.poisson_p = r.f64();
-  out.tfrc_rtt = r.f64();
-  out.tcp_rtt = r.f64();
-  out.bottleneck_utilization = r.f64();
-  out.breakdown.conservativeness = r.f64();
-  out.breakdown.loss_rate_ratio = r.f64();
-  out.breakdown.rtt_ratio = r.f64();
-  out.breakdown.tcp_formula_ratio = r.f64();
-  out.breakdown.friendliness = r.f64();
-  out.workload_active = r.u64() != 0;
-  auto& wl = out.workload;
-  wl.arrivals = r.u64();
-  wl.completions = r.u64();
-  wl.rejections = r.u64();
-  wl.mean_flows = r.f64();
-  wl.mean_flows_tfrc = r.f64();
-  wl.mean_flows_tcp = r.f64();
-  wl.peak_flows = r.u64();
-  wl.tfrc_completion_s = r.f64();
-  wl.tcp_completion_s = r.f64();
-  wl.tfrc_completion_cov = r.f64();
-  wl.tcp_completion_cov = r.f64();
-  wl.tfrc_goodput_pps = r.f64();
-  wl.tcp_goodput_pps = r.f64();
-  wl.tfrc_share = r.f64();
-  wl.tfrc_p = r.f64();
-  wl.tcp_p = r.f64();
-  wl.mean_flows_aimd = r.f64();
-  wl.mean_flows_rcp = r.f64();
-  wl.aimd_completion_s = r.f64();
-  wl.rcp_completion_s = r.f64();
-  wl.aimd_completion_cov = r.f64();
-  wl.rcp_completion_cov = r.f64();
-  wl.aimd_goodput_pps = r.f64();
-  wl.rcp_goodput_pps = r.f64();
-  wl.aimd_p = r.f64();
-  wl.rcp_p = r.f64();
-  wl.qdelay_mean_s = r.f64();
-  const std::uint64_t n_obs = r.u64();
-  for (std::uint64_t i = 0; i < n_obs && r.ok(); ++i) {
-    std::string name = r.str();
-    const double value = r.f64();
-    out.obs.emplace_back(std::move(name), value);
-  }
-  if (!r.ok() || !r.exhausted() || out.flows.size() != n_flows ||
-      out.obs.size() != n_obs) {
-    return std::nullopt;
-  }
+  visit_result(v, out);
+  if (!v.r.ok() || !v.r.exhausted() || !v.counts_match) return std::nullopt;
   return out;
 }
 

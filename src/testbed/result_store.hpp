@@ -5,7 +5,10 @@
 // (scenario_io.hpp), the seed is the per-replication derived seed assigned
 // before the batch launches, and the salt names the simulator's behavioral
 // version — bump kResultCacheSalt whenever a change shifts sample paths or
-// metric definitions, and every stale entry silently becomes a miss.
+// metric definitions, and every stale entry silently becomes a miss. The
+// payload layout is testbed::visit_result (experiment.hpp), so adding or
+// reordering a field there also needs a bump (ResultStore.PayloadDigestIsPinned
+// fails until the salt and its recorded digests move together).
 //
 // Files are self-contained: a header carrying the magic, format version, the
 // full key, and an FNV-1a checksum of the payload, then the payload with
@@ -47,7 +50,8 @@ namespace ebrc::testbed {
 
 /// Behavioral version of the simulator baked into every cache key. Bump on
 /// any change that alters sample paths or metrics (new RNG, packet-path
-/// reorder, metric redefinition, ...) so old entries are never replayed.
+/// reorder, metric redefinition, a visit_result field added or moved, ...)
+/// so old entries are never replayed.
 inline constexpr std::uint64_t kResultCacheSalt = 7;  // PR 10: obs snapshot in the payload
 
 class ResultStore {

@@ -108,6 +108,33 @@ struct WorkloadSummary {
   double qdelay_mean_s = 0.0;
 };
 
+/// One traffic class's slice of a WorkloadSummary as member pointers, so
+/// code can loop over the classes while the named members above stay the
+/// public surface (figure drivers and the result schema read them by name).
+struct ClassFields {
+  double WorkloadSummary::*mean_flows;
+  double WorkloadSummary::*completion_s;
+  double WorkloadSummary::*completion_cov;
+  double WorkloadSummary::*goodput_pps;
+  double WorkloadSummary::*p;
+};
+
+/// Indexed by FlowClass.
+inline constexpr ClassFields kClassFields[kFlowClasses] = {
+    {&WorkloadSummary::mean_flows_tfrc, &WorkloadSummary::tfrc_completion_s,
+     &WorkloadSummary::tfrc_completion_cov, &WorkloadSummary::tfrc_goodput_pps,
+     &WorkloadSummary::tfrc_p},
+    {&WorkloadSummary::mean_flows_tcp, &WorkloadSummary::tcp_completion_s,
+     &WorkloadSummary::tcp_completion_cov, &WorkloadSummary::tcp_goodput_pps,
+     &WorkloadSummary::tcp_p},
+    {&WorkloadSummary::mean_flows_aimd, &WorkloadSummary::aimd_completion_s,
+     &WorkloadSummary::aimd_completion_cov, &WorkloadSummary::aimd_goodput_pps,
+     &WorkloadSummary::aimd_p},
+    {&WorkloadSummary::mean_flows_rcp, &WorkloadSummary::rcp_completion_s,
+     &WorkloadSummary::rcp_completion_cov, &WorkloadSummary::rcp_goodput_pps,
+     &WorkloadSummary::rcp_p},
+};
+
 class FlowManager {
  public:
   FlowManager(net::Dumbbell& net, FlowManagerConfig cfg);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "result_equality.hpp"
 #include "stats/online.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
@@ -23,32 +24,13 @@ using ebrc::testbed::BatchRunner;
 using ebrc::testbed::ExperimentResult;
 using ebrc::testbed::Scenario;
 using ebrc::testbed::ShardSpec;
+using ebrc::test::expect_identical;
 
 Scenario short_ns2(std::uint64_t seed) {
   auto s = ebrc::testbed::ns2_scenario(1, 1, 8, seed);
   s.duration_s = 6.0;
   s.warmup_s = 1.0;
   return s;
-}
-
-void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.scenario_name, b.scenario_name);
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    EXPECT_EQ(a.flows[i].kind, b.flows[i].kind);
-    EXPECT_EQ(a.flows[i].loss_events, b.flows[i].loss_events);
-    // Bit-identical, not merely close: the thread count must not leak into
-    // any run's sample path.
-    EXPECT_DOUBLE_EQ(a.flows[i].throughput_pps, b.flows[i].throughput_pps);
-    EXPECT_DOUBLE_EQ(a.flows[i].p, b.flows[i].p);
-    EXPECT_DOUBLE_EQ(a.flows[i].mean_rtt_s, b.flows[i].mean_rtt_s);
-    EXPECT_DOUBLE_EQ(a.flows[i].normalized, b.flows[i].normalized);
-  }
-  EXPECT_DOUBLE_EQ(a.tfrc_throughput, b.tfrc_throughput);
-  EXPECT_DOUBLE_EQ(a.tcp_throughput, b.tcp_throughput);
-  EXPECT_DOUBLE_EQ(a.bottleneck_utilization, b.bottleneck_utilization);
-  EXPECT_DOUBLE_EQ(a.breakdown.friendliness, b.breakdown.friendliness);
-  EXPECT_DOUBLE_EQ(a.breakdown.conservativeness, b.breakdown.conservativeness);
 }
 
 TEST(BatchRunner, JobCountDoesNotChangeResults) {

@@ -177,18 +177,15 @@ TEST(ControllerMatrix, EachControllerCarriesTheWholeWorkload) {
     EXPECT_GT(wl.completions, 0u) << ctrl;
 
     // Telemetry lands in the pinned class's slice and nowhere else.
-    const double goodputs[4] = {wl.tfrc_goodput_pps, wl.tcp_goodput_pps, wl.aimd_goodput_pps,
-                                wl.rcp_goodput_pps};
-    const double flows[4] = {wl.mean_flows_tfrc, wl.mean_flows_tcp, wl.mean_flows_aimd,
-                             wl.mean_flows_rcp};
     const int expected = ctrl == "tfrc" ? 0 : ctrl == "tcp" ? 1 : ctrl == "delay_aimd" ? 2 : 3;
-    for (int c = 0; c < 4; ++c) {
+    for (int c = 0; c < workload::kFlowClasses; ++c) {
+      const auto& f = workload::kClassFields[c];
       if (c == expected) {
-        EXPECT_GT(goodputs[c], 0.0) << ctrl;
-        EXPECT_GT(flows[c], 0.0) << ctrl;
+        EXPECT_GT(wl.*f.goodput_pps, 0.0) << ctrl;
+        EXPECT_GT(wl.*f.mean_flows, 0.0) << ctrl;
       } else {
-        EXPECT_EQ(goodputs[c], 0.0) << ctrl << " leaked goodput into class " << c;
-        EXPECT_EQ(flows[c], 0.0) << ctrl << " leaked flows into class " << c;
+        EXPECT_EQ(wl.*f.goodput_pps, 0.0) << ctrl << " leaked goodput into class " << c;
+        EXPECT_EQ(wl.*f.mean_flows, 0.0) << ctrl << " leaked flows into class " << c;
       }
     }
 

@@ -3,9 +3,7 @@
 #include <numeric>
 
 #include "core/estimator.hpp"
-#include "core/rate_controller.hpp"
 #include "core/weights.hpp"
-#include "model/throughput_function.hpp"
 
 namespace {
 
@@ -113,43 +111,6 @@ TEST(Estimator, Validation) {
   EXPECT_THROW(e.push(0.0), std::invalid_argument);
   e.push(10.0);
   EXPECT_THROW((void)e.value_with_open(-1.0), std::invalid_argument);
-}
-
-TEST(RateController, SeedFromRateInvertsF) {
-  auto f = ebrc::model::make_throughput_function("pftk-simplified", 0.1);
-  RateController rc({f, tfrc_weights(8), true});
-  EXPECT_FALSE(rc.active());
-  EXPECT_THROW((void)rc.allowed_rate(0.0), std::logic_error);
-  rc.seed_from_rate(200.0);
-  EXPECT_TRUE(rc.active());
-  // f(1/estimate) == 200 (within the bisection tolerance).
-  EXPECT_NEAR(f->rate_from_interval(rc.estimate()), 200.0, 1e-3);
-  EXPECT_NEAR(rc.allowed_rate(0.0), 200.0, 1e-3);
-}
-
-TEST(RateController, ComprehensiveRaisesRateOnLongOpenInterval) {
-  auto f = ebrc::model::make_throughput_function("sqrt", 0.1);
-  RateController rc({f, tfrc_weights(8), true});
-  rc.seed_interval(50.0);
-  const double base = rc.allowed_rate(0.0);
-  EXPECT_NEAR(rc.allowed_rate(40.0), base, 1e-12);     // below threshold
-  EXPECT_GT(rc.allowed_rate(200.0), base * 1.2);       // far above threshold
-}
-
-TEST(RateController, BasicIgnoresOpenInterval) {
-  auto f = ebrc::model::make_throughput_function("sqrt", 0.1);
-  RateController rc({f, tfrc_weights(8), false});
-  rc.seed_interval(50.0);
-  EXPECT_DOUBLE_EQ(rc.allowed_rate(0.0), rc.allowed_rate(1000.0));
-}
-
-TEST(RateController, LossEventLowersRate) {
-  auto f = ebrc::model::make_throughput_function("pftk-simplified", 0.1);
-  RateController rc({f, tfrc_weights(8), true});
-  rc.seed_interval(100.0);
-  const double before = rc.allowed_rate(0.0);
-  rc.on_loss_event(5.0);  // a short interval: more losses
-  EXPECT_LT(rc.allowed_rate(0.0), before);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "result_equality.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/fault_injection.hpp"
@@ -48,6 +48,7 @@ using ebrc::testbed::RunPolicy;
 using ebrc::testbed::Scenario;
 using ebrc::testbed::ShardSpec;
 using ebrc::testbed::SweepReport;
+using ebrc::test::expect_identical;
 namespace fault = ebrc::testbed::fault;
 
 Scenario short_ns2(std::uint64_t seed) {
@@ -76,26 +77,6 @@ struct TempDir {
   }
   ~TempDir() { fs::remove_all(path); }
 };
-
-void expect_bits(double a, double b, const char* what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) << what;
-}
-
-/// Spot-check bitwise equality on the fields that would drift first if a
-/// retry or resume perturbed the sample path (result_store_test carries the
-/// exhaustive field-by-field comparator).
-void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.scenario_name, b.scenario_name);
-  expect_bits(a.tfrc_throughput, b.tfrc_throughput, "tfrc_throughput");
-  expect_bits(a.tcp_throughput, b.tcp_throughput, "tcp_throughput");
-  expect_bits(a.tfrc_p, b.tfrc_p, "tfrc_p");
-  expect_bits(a.breakdown.friendliness, b.breakdown.friendliness, "friendliness");
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    expect_bits(a.flows[i].throughput_pps, b.flows[i].throughput_pps, "flow throughput");
-    EXPECT_EQ(a.flows[i].loss_events, b.flows[i].loss_events);
-  }
-}
 
 TEST(FaultInjection, PlanSpecParsesAndRejectsMalformedInput) {
   const auto plan =
@@ -183,7 +164,7 @@ TEST(FaultTolerance, KeepGoingIsolatesInjectedFailures) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (i == 1 || i == 4) continue;
     EXPECT_EQ(rep.available[i], 1);
-    expect_same_run(reference[i], out[i]);
+    expect_identical(reference[i], out[i]);
   }
 }
 
@@ -206,7 +187,7 @@ TEST(FaultTolerance, RetryRecoversTransientFaultBitIdentically) {
   EXPECT_EQ(rep.retried, 1u);
   EXPECT_EQ(rep.simulated, batch.size());
   EXPECT_TRUE(rep.complete());
-  for (std::size_t i = 0; i < batch.size(); ++i) expect_same_run(reference[i], out[i]);
+  for (std::size_t i = 0; i < batch.size(); ++i) expect_identical(reference[i], out[i]);
 }
 
 TEST(FaultTolerance, ResumeConvergesToCleanColdRun) {
@@ -237,7 +218,7 @@ TEST(FaultTolerance, ResumeConvergesToCleanColdRun) {
   EXPECT_EQ(resumed.simulated, 2u);
   EXPECT_EQ(resumed.failed, 0u);
   EXPECT_TRUE(resumed.complete());
-  for (std::size_t i = 0; i < batch.size(); ++i) expect_same_run(reference[i], out[i]);
+  for (std::size_t i = 0; i < batch.size(); ++i) expect_identical(reference[i], out[i]);
 
   // A fully warm pass touches nothing.
   SweepReport warm;
@@ -392,7 +373,7 @@ TEST(ProcessIsolation, BitIdenticalToInProcessRun) {
   const auto out = runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
   EXPECT_TRUE(rep.complete());
   EXPECT_EQ(rep.simulated, batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) expect_same_run(reference[i], out[i]);
+  for (std::size_t i = 0; i < batch.size(); ++i) expect_identical(reference[i], out[i]);
 }
 
 TEST(ProcessIsolation, WorkerCrashIsRetryableAndLeavesABundleAndResumes) {
@@ -450,7 +431,7 @@ TEST(ProcessIsolation, WorkerCrashIsRetryableAndLeavesABundleAndResumes) {
   EXPECT_EQ(resumed.hits, 3u);
   EXPECT_EQ(resumed.simulated, 1u);
   EXPECT_TRUE(resumed.complete());
-  for (std::size_t i = 0; i < batch.size(); ++i) expect_same_run(reference[i], out[i]);
+  for (std::size_t i = 0; i < batch.size(); ++i) expect_identical(reference[i], out[i]);
 }
 
 TEST(ProcessIsolation, HungWorkerIsKilledAtTheHardDeadline) {

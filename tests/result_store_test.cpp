@@ -18,12 +18,14 @@
 #include <string>
 #include <vector>
 
+#include "result_equality.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/fault_injection.hpp"
 #include "testbed/result_store.hpp"
 #include "testbed/scenario.hpp"
 #include "testbed/scenario_io.hpp"
+#include "util/binary_io.hpp"
 
 namespace {
 
@@ -35,11 +37,28 @@ using ebrc::testbed::ResultStore;
 using ebrc::testbed::Scenario;
 using ebrc::testbed::ShardSpec;
 using ebrc::testbed::SweepReport;
+using ebrc::test::expect_identical;
 
 Scenario short_ns2(std::uint64_t seed) {
   auto s = ebrc::testbed::ns2_scenario(1, 1, 8, seed);
   s.duration_s = 4.0;
   s.warmup_s = 1.0;
+  return s;
+}
+
+/// A short churn cell. With an empty `controller` the transfers mix TFRC and
+/// TCP and a long-lived pair of each rides along, so the payload carries flow
+/// records, workload telemetry and obs entries at once.
+Scenario short_churn(const std::string& controller) {
+  auto s = ebrc::testbed::churn_scenario(/*offered_load=*/0.8, /*tfrc_fraction=*/0.5, 17);
+  s.duration_s = 8.0;
+  s.warmup_s = 2.0;
+  s.workload.max_concurrent = 32;
+  s.workload.controller = controller;
+  if (controller.empty()) {
+    s.n_tfrc = 1;
+    s.n_tcp = 1;
+  }
   return s;
 }
 
@@ -59,58 +78,6 @@ struct TempDir {
 
 void expect_bits(double a, double b, const char* what) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) << what;
-}
-
-/// Full bitwise equality over every ExperimentResult field.
-void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.scenario_name, b.scenario_name);
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    EXPECT_EQ(a.flows[i].kind, b.flows[i].kind);
-    EXPECT_EQ(a.flows[i].flow_id, b.flows[i].flow_id);
-    expect_bits(a.flows[i].throughput_pps, b.flows[i].throughput_pps, "throughput_pps");
-    expect_bits(a.flows[i].p, b.flows[i].p, "p");
-    expect_bits(a.flows[i].mean_rtt_s, b.flows[i].mean_rtt_s, "mean_rtt_s");
-    expect_bits(a.flows[i].formula_rate, b.flows[i].formula_rate, "formula_rate");
-    expect_bits(a.flows[i].normalized, b.flows[i].normalized, "normalized");
-    expect_bits(a.flows[i].cov_theta_thetahat, b.flows[i].cov_theta_thetahat, "cov");
-    expect_bits(a.flows[i].normalized_cov, b.flows[i].normalized_cov, "normalized_cov");
-    EXPECT_EQ(a.flows[i].loss_events, b.flows[i].loss_events);
-  }
-  expect_bits(a.tfrc_throughput, b.tfrc_throughput, "tfrc_throughput");
-  expect_bits(a.tcp_throughput, b.tcp_throughput, "tcp_throughput");
-  expect_bits(a.tfrc_p, b.tfrc_p, "tfrc_p");
-  expect_bits(a.tcp_p, b.tcp_p, "tcp_p");
-  expect_bits(a.poisson_p, b.poisson_p, "poisson_p");
-  expect_bits(a.tfrc_rtt, b.tfrc_rtt, "tfrc_rtt");
-  expect_bits(a.tcp_rtt, b.tcp_rtt, "tcp_rtt");
-  expect_bits(a.bottleneck_utilization, b.bottleneck_utilization, "bottleneck_utilization");
-  expect_bits(a.breakdown.conservativeness, b.breakdown.conservativeness, "conservativeness");
-  expect_bits(a.breakdown.loss_rate_ratio, b.breakdown.loss_rate_ratio, "loss_rate_ratio");
-  expect_bits(a.breakdown.rtt_ratio, b.breakdown.rtt_ratio, "rtt_ratio");
-  expect_bits(a.breakdown.tcp_formula_ratio, b.breakdown.tcp_formula_ratio,
-              "tcp_formula_ratio");
-  expect_bits(a.breakdown.friendliness, b.breakdown.friendliness, "friendliness");
-  EXPECT_EQ(a.workload_active, b.workload_active);
-  EXPECT_EQ(a.workload.arrivals, b.workload.arrivals);
-  EXPECT_EQ(a.workload.completions, b.workload.completions);
-  EXPECT_EQ(a.workload.rejections, b.workload.rejections);
-  expect_bits(a.workload.mean_flows, b.workload.mean_flows, "wl.mean_flows");
-  expect_bits(a.workload.mean_flows_tfrc, b.workload.mean_flows_tfrc, "wl.mean_flows_tfrc");
-  expect_bits(a.workload.mean_flows_tcp, b.workload.mean_flows_tcp, "wl.mean_flows_tcp");
-  EXPECT_EQ(a.workload.peak_flows, b.workload.peak_flows);
-  expect_bits(a.workload.tfrc_completion_s, b.workload.tfrc_completion_s,
-              "wl.tfrc_completion_s");
-  expect_bits(a.workload.tcp_completion_s, b.workload.tcp_completion_s, "wl.tcp_completion_s");
-  expect_bits(a.workload.tfrc_completion_cov, b.workload.tfrc_completion_cov,
-              "wl.tfrc_completion_cov");
-  expect_bits(a.workload.tcp_completion_cov, b.workload.tcp_completion_cov,
-              "wl.tcp_completion_cov");
-  expect_bits(a.workload.tfrc_goodput_pps, b.workload.tfrc_goodput_pps, "wl.tfrc_goodput_pps");
-  expect_bits(a.workload.tcp_goodput_pps, b.workload.tcp_goodput_pps, "wl.tcp_goodput_pps");
-  expect_bits(a.workload.tfrc_share, b.workload.tfrc_share, "wl.tfrc_share");
-  expect_bits(a.workload.tfrc_p, b.workload.tfrc_p, "wl.tfrc_p");
-  expect_bits(a.workload.tcp_p, b.workload.tcp_p, "wl.tcp_p");
 }
 
 TEST(ResultStore, HitIsBitIdenticalToFreshRun) {
@@ -136,6 +103,49 @@ TEST(ResultStore, CodecRoundTripsExactly) {
   expect_identical(fresh, *decoded);
   EXPECT_FALSE(ebrc::testbed::decode_result("garbage").has_value());
   EXPECT_FALSE(ebrc::testbed::decode_result("").has_value());
+}
+
+std::uint64_t payload_digest(const Scenario& s) {
+  const std::string payload = ebrc::testbed::encode_result(ebrc::testbed::run_experiment(s));
+  ebrc::util::Fnv1a h;
+  h.bytes(payload.data(), payload.size());
+  return h.digest();
+}
+
+// The cache payload format, pinned by one cell of each kind. Cached entries
+// are read back by position, so these digests may change only together with
+// kResultCacheSalt: a payload that moves without a salt bump would let old
+// entries decode into the wrong fields. Re-record them when the salt moves.
+TEST(ResultStore, PayloadDigestIsPinned) {
+  ASSERT_EQ(ebrc::testbed::kResultCacheSalt, 7u) << "salt bumped: re-record the digests";
+  EXPECT_EQ(payload_digest(short_ns2(123)), 0xab4aa2c2cd55d406ull);
+  EXPECT_EQ(payload_digest(short_churn("")), 0xfb57f5ef6de56e02ull);
+  EXPECT_EQ(payload_digest(short_churn("delay_aimd")), 0x1d2736deeea28106ull);
+}
+
+TEST(ResultStore, DecoderRejectsEveryMalformedPayload) {
+  ExperimentResult r = ebrc::testbed::run_experiment(short_churn(""));
+  ASSERT_FALSE(r.flows.empty());
+  ASSERT_FALSE(r.obs.empty());
+  ASSERT_TRUE(r.workload_active);
+  const std::string payload = ebrc::testbed::encode_result(r);
+  ASSERT_TRUE(ebrc::testbed::decode_result(payload).has_value());
+
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    EXPECT_FALSE(ebrc::testbed::decode_result(payload.substr(0, n)).has_value()) << n;
+  }
+  EXPECT_FALSE(ebrc::testbed::decode_result(payload + '\0').has_value());
+
+  // A flow count of 2^63 with no flow bytes behind it: the reader must stop
+  // at the first short read instead of sizing anything from the count.
+  r.flows.clear();
+  const std::string flowless = ebrc::testbed::encode_result(r);
+  const std::size_t count_at = 8 + r.scenario_name.size();
+  ebrc::util::ByteWriter w;
+  w.u64(std::uint64_t{1} << 63);
+  const std::string huge =
+      flowless.substr(0, count_at) + w.bytes() + flowless.substr(count_at + 8);
+  EXPECT_FALSE(ebrc::testbed::decode_result(huge).has_value());
 }
 
 TEST(ResultStore, MissesOnAnyPerturbation) {
