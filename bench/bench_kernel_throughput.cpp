@@ -147,23 +147,32 @@ RunStats steady_run(std::uint64_t n, double& sink) {
 RunStats pinned_run(std::uint64_t n, double& sink) {
   constexpr int kChains = 512;
   Simulator sim;
-  std::vector<Simulator::PinnedEvent> evs;
-  evs.reserve(kChains);
-  std::vector<std::uint32_t> states(kChains);
   std::uint64_t remaining = n > static_cast<std::uint64_t>(kChains)
                                 ? n - static_cast<std::uint64_t>(kChains)
                                 : 0;
+  // One object per chain, pinned through a one-word capture, as the
+  // protocol components pin `this`.
+  struct Chain {
+    Simulator* sim;
+    std::uint64_t* remaining;
+    double* sink;
+    std::uint32_t state;
+    Simulator::PinnedEvent ev;
+    void fire() {
+      *sink += 1;
+      if (*remaining == 0) return;
+      --*remaining;
+      state = state * 1664525u + 1013904223u;  // lcg: deterministic delays
+      sim->schedule_pinned((1 + (state >> 20)) * 1e-6, ev);
+    }
+  };
+  std::vector<Chain> chains(kChains);
   for (int i = 0; i < kChains; ++i) {
-    states[i] = static_cast<std::uint32_t>(i) * 2654435761u;
-    evs.push_back(sim.pin([&sim, &evs, &states, &remaining, &sink, i] {
-      sink += 1;
-      if (remaining == 0) return;
-      --remaining;
-      states[i] = states[i] * 1664525u + 1013904223u;  // lcg: deterministic delays
-      sim.schedule_pinned((1 + (states[i] >> 20)) * 1e-6, evs[i]);
-    }));
+    Chain& c = chains[i];
+    c = Chain{&sim, &remaining, &sink, static_cast<std::uint32_t>(i) * 2654435761u, 0};
+    c.ev = sim.pin([&c] { c.fire(); });
   }
-  for (int i = 0; i < kChains; ++i) sim.schedule_pinned((i + 1) * 1e-6, evs[i]);
+  for (int i = 0; i < kChains; ++i) sim.schedule_pinned((i + 1) * 1e-6, chains[i].ev);
   sim.run();
   return stats_of(sim);
 }

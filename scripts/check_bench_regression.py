@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail CI when a benchmark throughput regresses versus a committed baseline.
+"""Fail CI when a benchmark throughput or footprint regresses versus a baseline.
 
 Compares per-workload throughput (events_per_sec for the kernel bench, pps
 for the packet-path bench) of a freshly produced BENCH_*.json against a
@@ -7,10 +7,19 @@ baseline JSON committed under bench/baselines/. A workload fails when
 
     current < (1 - tolerance) * baseline
 
-Baselines are set deliberately LOW (roughly a third of a quiet dev box) so
-the gate trips on structural regressions — an accidental O(n) in the hot
-path, a lost inline fast path — rather than on shared-runner noise; the
-default tolerance adds a further 25% slack on top.
+Throughput baselines are set deliberately LOW (roughly a third of a quiet
+dev box) so the gate trips on structural regressions — an accidental O(n)
+in the hot path, a lost inline fast path — rather than on shared-runner
+noise; the default tolerance adds a further 25% slack on top.
+
+Lower-is-better footprint keys (LOWER_IS_BETTER_KEYS: bytes_per_slot of the
+churn bench) are gated only where the baseline entry carries them, as a
+ceiling:
+
+    current > (1 + tolerance) * baseline
+
+Bytes per slot does not depend on the runner's speed, so these baselines
+are the measured value itself, not a third of it.
 
 Usage:
     check_bench_regression.py --current BENCH_net.json \
@@ -22,6 +31,7 @@ import json
 import sys
 
 THROUGHPUT_KEYS = ("events_per_sec", "pps")
+LOWER_IS_BETTER_KEYS = ("bytes_per_slot",)
 
 
 def throughput(workload: dict) -> tuple[str, float]:
@@ -77,13 +87,27 @@ def main() -> int:
               f"(baseline {base_val:.0f}, floor {floor:.0f})  {status}")
         if cur_val < floor:
             failures.append(f"{name}: {key} {cur_val:.0f} < floor {floor:.0f}")
+        for key in LOWER_IS_BETTER_KEYS:
+            if key not in base_wl:
+                continue
+            if key not in cur_wl:
+                failures.append(f"{name}: current entry has no {key!r}")
+                continue
+            base_val = float(base_wl[key])
+            cur_val = float(cur_wl[key])
+            ceiling = (1.0 + args.tolerance) * base_val
+            status = "ok" if cur_val <= ceiling else "REGRESSED"
+            print(f"  {name:>16}  {key}: {cur_val:>12.0f}  "
+                  f"(baseline {base_val:.0f}, ceiling {ceiling:.0f})  {status}")
+            if cur_val > ceiling:
+                failures.append(f"{name}: {key} {cur_val:.0f} > ceiling {ceiling:.0f}")
 
     if failures:
         print("[bench-gate] FAILED:")
         for f in failures:
             print(f"  - {f}")
         return 1
-    print("[bench-gate] all workloads at or above the regression floor")
+    print("[bench-gate] all workloads within their regression floors and ceilings")
     return 0
 
 

@@ -14,13 +14,19 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
+
+#include "core/weights.hpp"
 
 namespace ebrc::core {
 
 class MovingAverageEstimator {
  public:
-  /// `weights` must satisfy validate_weights (sum 1, w1 > 0).
+  /// `weights` must satisfy validate_weights (sum 1, w1 > 0). The profile is
+  /// held by reference count, so estimators built from one shared profile
+  /// (tfrc_weight_profile) store it once between them.
+  explicit MovingAverageEstimator(WeightProfile weights);
   explicit MovingAverageEstimator(std::vector<double> weights);
 
   /// Records the newly completed loss-event interval theta_n (packets).
@@ -36,10 +42,10 @@ class MovingAverageEstimator {
   void reset() noexcept;
 
   /// True once L intervals have been observed.
-  [[nodiscard]] bool warmed_up() const noexcept { return count_ >= weights_.size(); }
+  [[nodiscard]] bool warmed_up() const noexcept { return count_ >= window(); }
   [[nodiscard]] std::size_t history_size() const noexcept { return count_; }
-  [[nodiscard]] std::size_t window() const noexcept { return weights_.size(); }
-  [[nodiscard]] const std::vector<double>& weights() const noexcept { return weights_; }
+  [[nodiscard]] std::size_t window() const noexcept { return weights_->size(); }
+  [[nodiscard]] const std::vector<double>& weights() const noexcept { return *weights_; }
 
   /// hat-theta_n = sum_l w_l theta_{n-l}. Before warm-up the observed prefix
   /// is renormalized by the weight mass actually used (TFRC behavior).
@@ -73,8 +79,8 @@ class MovingAverageEstimator {
   /// newest-to-oldest order as the former per-query loops (bit-identity).
   void recompute() noexcept;
 
-  std::vector<double> weights_;
-  std::vector<double> ring_;   // capacity L; ring_[newest_] is theta_n
+  WeightProfile weights_;
+  std::unique_ptr<double[]> ring_;  // L entries; ring_[newest_] is theta_n
   std::size_t newest_ = 0;
   std::size_t count_ = 0;
 

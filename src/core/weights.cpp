@@ -1,6 +1,8 @@
 #include "core/weights.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -24,6 +26,15 @@ std::vector<double> tfrc_weights(std::size_t L) {
     w[l - 1] = lf <= std::ceil(half) ? 1.0 : 1.0 - (lf - half) / (half + 1.0);
   }
   return normalized(std::move(w));
+}
+
+WeightProfile tfrc_weight_profile(std::size_t L) {
+  static std::mutex mu;
+  static std::map<std::size_t, WeightProfile> profiles;
+  const std::lock_guard<std::mutex> lock(mu);
+  WeightProfile& p = profiles[L];
+  if (!p) p = std::make_shared<const std::vector<double>>(tfrc_weights(L));
+  return p;
 }
 
 std::vector<double> uniform_weights(std::size_t L) {

@@ -211,7 +211,6 @@ void DelayAimdConnection::on_feedback(const net::Packet& p) {
     }
   }
   snd_.rate = util::max(snd_.rate, cfg_.min_rate);
-  recorder_.note_rate(snd_.rate.pps());
 }
 
 // ------------------------------------------------------------- receiver ----

@@ -140,20 +140,47 @@ std::optional<double> PftkSimplified::g_antiderivative(double x) const {
 
 // -------------------------------------------------------------- factory ----
 
-std::shared_ptr<const ThroughputFunction> make_throughput_function(const std::string& name,
-                                                                   double rtt_s, double q_s,
-                                                                   int b) {
+namespace {
+
+enum class Family { kSqrt, kPftkStandard, kPftkSimplified };
+
+Family family_of(const std::string& name) {
   std::string key;
   key.reserve(name.size());
   for (char c : name) key.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (key == "sqrt") return std::make_shared<SqrtFormula>(rtt_s, b);
+  if (key == "sqrt") return Family::kSqrt;
   if (key == "pftk" || key == "pftk-standard" || key == "pftk_standard") {
-    return std::make_shared<PftkStandard>(rtt_s, q_s, b);
+    return Family::kPftkStandard;
   }
   if (key == "pftk-simplified" || key == "pftk_simplified" || key == "simplified") {
-    return std::make_shared<PftkSimplified>(rtt_s, q_s, b);
+    return Family::kPftkSimplified;
   }
   throw std::invalid_argument("unknown throughput function: " + name);
+}
+
+}  // namespace
+
+std::shared_ptr<const ThroughputFunction> make_throughput_function(const std::string& name,
+                                                                   double rtt_s, double q_s,
+                                                                   int b) {
+  switch (family_of(name)) {
+    case Family::kSqrt: return std::make_shared<SqrtFormula>(rtt_s, b);
+    case Family::kPftkStandard: return std::make_shared<PftkStandard>(rtt_s, q_s, b);
+    case Family::kPftkSimplified: return std::make_shared<PftkSimplified>(rtt_s, q_s, b);
+  }
+  throw std::logic_error("make_throughput_function: unreachable");
+}
+
+const ThroughputFunction& unit_throughput_function(const std::string& name) {
+  static const SqrtFormula sqrt_unit(1.0);
+  static const PftkStandard standard_unit(1.0);
+  static const PftkSimplified simplified_unit(1.0);
+  switch (family_of(name)) {
+    case Family::kSqrt: return sqrt_unit;
+    case Family::kPftkStandard: return standard_unit;
+    case Family::kPftkSimplified: return simplified_unit;
+  }
+  throw std::logic_error("unit_throughput_function: unreachable");
 }
 
 }  // namespace ebrc::model

@@ -130,4 +130,10 @@ class PftkSimplified final : public ThroughputFunction {
 [[nodiscard]] std::shared_ptr<const ThroughputFunction> make_throughput_function(
     const std::string& name, double rtt_s, double q_s = -1.0, int b = 2);
 
+/// The unit-RTT member of family `name` (r = 1 s, q = 4r, b = 2): the same
+/// function make_throughput_function(name, 1.0) builds, held once per
+/// process. Immutable and safe to share across threads; TFRC senders
+/// evaluate it and divide by their RTT.
+[[nodiscard]] const ThroughputFunction& unit_throughput_function(const std::string& name);
+
 }  // namespace ebrc::model

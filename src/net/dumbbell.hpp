@@ -72,9 +72,10 @@ class Dumbbell {
     DelayPipe tail;     // post-bottleneck per-flow propagation to the receiver
     DelayPipe reverse;  // receiver -> sender return path
   };
-  // libstdc++ packs two flows per 512-B deque block; one more per-flow field
+  // libstdc++ packs four flows per 512-B deque block; one more per-flow field
   // halves that packing, so growing this should be a deliberate choice.
-  static_assert(sizeof(Flow) == 256, "Dumbbell::Flow grew past its budget");
+  static_assert(sizeof(Flow) == 128, "Dumbbell::Flow grew past its budget");
+  static_assert(512 / sizeof(Flow) == 4, "four flows per libstdc++ deque block");
 
   sim::Simulator& sim_;
   Link bottleneck_;

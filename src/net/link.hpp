@@ -32,10 +32,13 @@
 namespace ebrc::net {
 
 /// Delivery callback. Handlers are registered once per link/flow and invoked
-/// on every packet, so they ride the same inline-storage callback type as the
-/// event kernel: captures up to 48 bytes (typically `this` or a component
-/// pointer) never touch the heap, and move-only captures are allowed.
-using PacketHandler = sim::InlineFunction<void(const Packet&), 48>;
+/// on every packet. The contract is one word of capture — every sender
+/// registers `[this](const Packet& p) { on_data(p); }` — stored inline in
+/// 16 bytes with the dispatch pointer, so a pipe stays one cache line. A
+/// wider capture (tests, tools) works too: InlineFunction boxes it on the
+/// heap once, at registration, and the per-packet call gains one
+/// indirection.
+using PacketHandler = sim::InlineFunction<void(const Packet&), 8>;
 
 /// Infinite-capacity fixed-delay pipe (ACK/feedback return paths, added
 /// propagation segments), also used as the staging stage behind a Link.
@@ -79,6 +82,8 @@ class DelayPipe {
   bool delivery_armed_ = false;
   util::RingBuffer<InFlight> flight_;  // unallocated until the first send
 };
+// Two pipes per dumbbell flow: one cache line each keeps a flow at 128 B.
+static_assert(sizeof(DelayPipe) == 64, "DelayPipe grew past one cache line");
 
 /// RCP router parameters (Balakrishnan–Dukkipati–McKeown). The router keeps
 /// one fair-share rate R and updates it every d0 seconds:

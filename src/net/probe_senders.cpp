@@ -18,7 +18,6 @@ ProbeSender::ProbeSender(Dumbbell& net, int flow_id, double rate_pps, double pac
     throw std::invalid_argument("ProbeSender: rate and packet size must be > 0");
   }
   net_.on_data_at_receiver(flow_, [this](const Packet& p) { on_arrival(p); });
-  recorder_.note_rate(rate_pps);
 }
 
 void ProbeSender::start(double at) {

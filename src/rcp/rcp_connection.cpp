@@ -139,7 +139,6 @@ void RcpConnection::on_feedback(const net::Packet& p) {
     }
     snd_.rate = util::max(cfg_.min_rate, rate);
   }
-  recorder_.note_rate(snd_.rate.pps());
 }
 
 // ------------------------------------------------------------- receiver ----

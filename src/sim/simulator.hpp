@@ -51,6 +51,12 @@ namespace ebrc::sim {
 /// (one cache line per callback including the dispatch pointer).
 using EventFn = InlineFunction<void(), 56>;
 
+/// A pinned callback: one word of capture inline, 16 bytes with the
+/// dispatch pointer. Components pin `[this]` once per object — two pins per
+/// dumbbell flow, two per connection — so the pinned table grows with the
+/// flow pool. See Simulator::pin for the contract.
+using PinnedFn = InlineFunction<void(), 8>;
+
 /// Pool of event slots. A slot is identified by (index, generation);
 /// retiring a slot bumps its generation, so handles to a recycled slot go
 /// stale instead of observing the next event that reuses it. The slot also
@@ -352,12 +358,17 @@ class Simulator {
   // `running_` already does. Execution order remains the global
   // (time, insertion-seq) order shared with slab events: wheel and heap pops
   // merge on the same 128-bit key.
+  //
+  // The contract for callers: pin a closure that captures only `this` (or
+  // one other word). It is stored in 16 bytes and invoked in place; a wider
+  // capture is boxed once at pin time and costs one more indirection per
+  // firing.
 
   using PinnedEvent = std::uint32_t;
 
   /// Registers `fn` as a pinned callback; the id stays valid for the
   /// simulator's lifetime. Safe to call between runs (storage is stable).
-  PinnedEvent pin(EventFn fn) {
+  PinnedEvent pin(PinnedFn fn) {
     pinned_.push_back(std::move(fn));
     return static_cast<PinnedEvent>(pinned_.size() - 1) | kPinnedBit;
   }
@@ -490,7 +501,7 @@ class Simulator {
   std::uint64_t heap_pops_ = 0;
   EventSlab* slab_;  // intrusively refcounted; see EventSlab::retain/release
   std::vector<Entry> heap_;  // 4-ary min-heap: children of i at 4i+1 .. 4i+4
-  std::deque<EventFn> pinned_;  // deque: pin() during a run never relocates
+  std::deque<PinnedFn> pinned_;  // deque: pin() during a run never relocates
   TimingWheel wheel_;  // pinned entries after calibration; merged at pop
   KernelRing ring_;   // null records (the default) = recording disabled
 };

@@ -33,9 +33,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
-#include <vector>
 
 namespace ebrc::sim {
 
@@ -81,6 +82,103 @@ struct EarlierCompare {
   }
 };
 
+/// A growable array of queue entries — the subset of std::vector the wheel
+/// uses — whose storage may be lent by its owner. The wheel seeds every
+/// bucket from one block at activation; an array that outgrows its loan
+/// moves to storage of its own, which it keeps and grows geometrically, so
+/// each array's capacity still rises monotonically to its peak load.
+class EventArray {
+ public:
+  EventArray() = default;
+  EventArray(const EventArray&) = delete;
+  EventArray& operator=(const EventArray&) = delete;
+  ~EventArray() { release(); }
+
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
+  [[nodiscard]] QueuedEvent* begin() noexcept { return data_; }
+  [[nodiscard]] QueuedEvent* end() noexcept { return data_ + size_; }
+  [[nodiscard]] const QueuedEvent* begin() const noexcept { return data_; }
+  [[nodiscard]] const QueuedEvent* end() const noexcept { return data_ + size_; }
+  [[nodiscard]] QueuedEvent& operator[](std::size_t i) noexcept { return data_[i]; }
+  [[nodiscard]] const QueuedEvent& operator[](std::size_t i) const noexcept { return data_[i]; }
+
+  // Entries are taken by value: a reference into this array would dangle
+  // across a regrowth.
+  void push_back(QueuedEvent e) {
+    if (size_ == cap_) grow();
+    data_[size_++] = e;
+  }
+
+  /// Inserts `e` before `pos` (an iterator into this array).
+  void insert(QueuedEvent* pos, QueuedEvent e) {
+    const auto at = static_cast<std::size_t>(pos - data_);
+    if (size_ == cap_) grow();
+    std::copy_backward(data_ + at, data_ + size_, data_ + size_ + 1);
+    data_[at] = e;
+    ++size_;
+  }
+
+  /// Replaces the contents with [first, last), which must not alias this.
+  void assign(const QueuedEvent* first, const QueuedEvent* last) {
+    const auto n = static_cast<std::size_t>(last - first);
+    size_ = 0;
+    if (n > cap_) reallocate(std::max(n, 2 * std::size_t{cap_}));
+    std::copy(first, last, data_);
+    size_ = static_cast<std::uint32_t>(n);
+  }
+
+  void clear() noexcept { size_ = 0; }
+  /// Keeps the first `n` <= size() entries.
+  void truncate(std::size_t n) noexcept {
+    assert(n <= size_);
+    size_ = static_cast<std::uint32_t>(n);
+  }
+
+  void reserve(std::size_t n) {
+    if (n > cap_) reallocate(n);
+  }
+
+  /// Adopts `n` entries of storage the caller keeps alive for this array's
+  /// lifetime, when that is more than the array holds now. The array must
+  /// be empty; storage of its own is freed.
+  void lend(QueuedEvent* storage, std::size_t n) noexcept {
+    assert(size_ == 0);
+    if (n <= cap_) return;
+    release();
+    data_ = storage;
+    cap_ = static_cast<std::uint32_t>(n);
+  }
+
+ private:
+  static constexpr std::size_t kMinCapacity = 8;
+
+  void grow() { reallocate(std::max<std::size_t>(2 * std::size_t{cap_}, kMinCapacity)); }
+
+  void reallocate(std::size_t n) {
+    assert(n < (std::size_t{1} << 32));
+    auto* next = new QueuedEvent[n];
+    std::copy(data_, data_ + size_, next);
+    release();
+    data_ = next;
+    cap_ = static_cast<std::uint32_t>(n);
+    owned_ = true;
+  }
+
+  void release() noexcept {
+    if (owned_) delete[] data_;
+    owned_ = false;
+  }
+
+  // Three words, like the std::vector this replaces: the wheel holds 770.
+  QueuedEvent* data_ = nullptr;  // owned or lent storage
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = 0;
+  bool owned_ = false;
+};
+static_assert(sizeof(EventArray) == 24);
+
 class TimingWheel {
  public:
   static constexpr int kBucketBits = 8;
@@ -122,16 +220,30 @@ class TimingWheel {
     // Seed every bucket with a uniform capacity, once. Bucket indexes are
     // touched for the first time throughout the first full rotation of their
     // level — minutes of simulated time for level 1, hours for level 2 at
-    // typical granularities — and a fresh vector's geometric growth would
+    // typical granularities — and a fresh array's geometric growth would
     // otherwise trickle allocations long past any warm-up window. The seed
     // must cover the per-bucket occupancy of a steady workload (churn at RTT
-    // granularity peaks around 32 per level-2 bucket); ~600 KB per activated
-    // simulator buys an allocation-free steady state.
-    for (auto& b : l0_) b.reserve(kSeedCapacity);
-    for (auto& b : l1_) b.reserve(kSeedCapacity);
-    for (auto& b : l2_) b.reserve(kSeedCapacity);
-    run_.reserve(4 * kSeedCapacity);
-    overflow_.reserve(4 * kSeedCapacity);
+    // granularity peaks around 32 per level-2 bucket); ~600 KB of address
+    // space per activated simulator buys an allocation-free steady state.
+    // It is ONE allocation, lent out in slices: 770 separate reserves cost
+    // tens of microseconds per simulator, a visible share of a short cell.
+    // (With glibc the block is mmapped the first time; freeing it raises
+    // malloc's mmap and trim thresholds to its size, so later seeds reuse
+    // already-faulted arena memory, at the price of each arena keeping up
+    // to ~1 MB more free memory resident.)
+    // A slice an array does not take (reserve() already sized it) is never
+    // touched, so it costs no resident memory.
+    seed_.reset(new QueuedEvent[kSeedEntries]);
+    QueuedEvent* next = seed_.get();
+    const auto lend = [&next](EventArray& a, std::size_t n) {
+      a.lend(next, n);
+      next += n;
+    };
+    for (auto& b : l0_) lend(b, kSeedCapacity);
+    for (auto& b : l1_) lend(b, kSeedCapacity);
+    for (auto& b : l2_) lend(b, kSeedCapacity);
+    lend(run_, 4 * kSeedCapacity);
+    lend(overflow_, 4 * kSeedCapacity);
   }
 
   /// Number of events currently queued (front run + buckets + overflow).
@@ -147,9 +259,7 @@ class TimingWheel {
     if (t <= pos_) {
       // The tick is already drained into the front run: sorted-insert at or
       // after the head (rare — same-instant re-bookings of the current tick).
-      run_.insert(std::upper_bound(run_.begin() + static_cast<std::ptrdiff_t>(run_head_),
-                                   run_.end(), e, EarlierCompare{}),
-                  e);
+      run_.insert(std::upper_bound(run_.begin() + run_head_, run_.end(), e, EarlierCompare{}), e);
       return;
     }
     ++pending_;
@@ -193,6 +303,7 @@ class TimingWheel {
   static constexpr std::uint64_t kMask = kBuckets - 1;
   static constexpr std::uint64_t kWords = kBuckets / 64;
   static constexpr std::size_t kSeedCapacity = 32;  // per-bucket, at activation
+  static constexpr std::size_t kSeedEntries = (3 * kBuckets + 8) * kSeedCapacity;
 
   /// Maps a deadline to its tick. Only MONOTONICITY matters for correctness
   /// (equal times share a tick; ticks are key-sorted on load); the clamp
@@ -203,7 +314,7 @@ class TimingWheel {
     return static_cast<std::uint64_t>(x);
   }
 
-  static void add(std::vector<QueuedEvent>* lvl, std::uint64_t* occ, std::uint64_t idx,
+  static void add(EventArray* lvl, std::uint64_t* occ, std::uint64_t idx,
                   const QueuedEvent& e) {
     lvl[idx].push_back(e);
     occ[idx >> 6] |= 1ull << (idx & 63);
@@ -239,7 +350,7 @@ class TimingWheel {
   }
 
   void scatter2(std::uint64_t i, std::uint64_t p) {
-    std::vector<QueuedEvent>& b = l2_[i];
+    EventArray& b = l2_[i];
     occ2_[i >> 6] &= ~(1ull << (i & 63));
     for (const QueuedEvent& e : b) {
       const std::uint64_t t = tick_of(e.at);
@@ -253,7 +364,7 @@ class TimingWheel {
   }
 
   void scatter1(std::uint64_t i, std::uint64_t p) {
-    std::vector<QueuedEvent>& b = l1_[i];
+    EventArray& b = l1_[i];
     occ1_[i >> 6] &= ~(1ull << (i & 63));
     (void)p;  // covering bucket: every tick is in p's level-0 window
     for (const QueuedEvent& e : b) add(l0_, occ0_, tick_of(e.at) & kMask, e);
@@ -281,7 +392,7 @@ class TimingWheel {
         overflow_[keep++] = e;
       }
     }
-    overflow_.resize(keep);
+    overflow_.truncate(keep);
   }
 
   /// Loads level-0 bucket `k` (one tick's events) into the front run. The
@@ -291,7 +402,7 @@ class TimingWheel {
   /// per-object storage each vector's capacity grows monotonically to its
   /// index's peak load and steady state is allocation-free.
   void load(std::uint64_t k) {
-    std::vector<QueuedEvent>& b = l0_[k];
+    EventArray& b = l0_[k];
     occ0_[k >> 6] &= ~(1ull << (k & 63));
     pending_ -= b.size();
     run_.assign(b.begin(), b.end());  // run_ was cleared at refill entry
@@ -348,11 +459,12 @@ class TimingWheel {
   std::uint64_t occ0_[kWords] = {};
   std::uint64_t occ1_[kWords] = {};
   std::uint64_t occ2_[kWords] = {};
-  std::vector<QueuedEvent> run_;       // current tick, key-sorted
-  std::vector<QueuedEvent> overflow_;  // deadlines beyond the 2^24-tick span
-  std::vector<QueuedEvent> l0_[kBuckets];
-  std::vector<QueuedEvent> l1_[kBuckets];
-  std::vector<QueuedEvent> l2_[kBuckets];
+  std::unique_ptr<QueuedEvent[]> seed_;  // activation block lent to the arrays below
+  EventArray run_;       // current tick, key-sorted
+  EventArray overflow_;  // deadlines beyond the 2^24-tick span
+  EventArray l0_[kBuckets];
+  EventArray l1_[kBuckets];
+  EventArray l2_[kBuckets];
 };
 
 }  // namespace ebrc::sim

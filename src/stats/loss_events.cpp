@@ -16,12 +16,7 @@ bool LossEventRecorder::on_loss(double t) {
     return false;  // same loss event (within one RTT of its start)
   }
   if (have_event_) {
-    // Close the previous interval; X_n is the rate set when it started.
-    if (store_series_) {
-      theta_.push_back(static_cast<double>(packets_since_event_));
-      s_.push_back(t - last_event_t_);
-      x_.push_back(rate_at_interval_start_);
-    }
+    if (store_series_) theta_.push_back(static_cast<double>(packets_since_event_));
   } else {
     packets_at_first_event_ = packets_;
   }
@@ -29,19 +24,7 @@ bool LossEventRecorder::on_loss(double t) {
   ++events_;
   last_event_t_ = t;
   packets_since_event_ = 0;
-  awaiting_rate_ = true;
-  // Until the sender reports its post-event rate, fall back to the last
-  // known rate so probe senders (CBR/Poisson) still get meaningful X_n.
-  rate_at_interval_start_ = current_rate_;
   return true;
-}
-
-void LossEventRecorder::note_rate(double rate) noexcept {
-  current_rate_ = rate;
-  if (awaiting_rate_) {
-    rate_at_interval_start_ = rate;
-    awaiting_rate_ = false;
-  }
 }
 
 double LossEventRecorder::loss_event_rate() const noexcept {

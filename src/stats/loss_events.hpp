@@ -4,10 +4,9 @@
 // that occur within one round-trip time of the start of a loss event belong
 // to that same event. The recorder turns a raw (packet-sent, packet-lost)
 // stream into:
-//   * the loss-event count and the loss-event rate p = events / packets,
+//   * the loss-event count and the loss-event rate p = events / packets, and
 //   * the loss-event intervals theta_n (packets between successive events),
-//   * the inter-event times S_n (seconds), and
-//   * the send rate X_n sampled at each event (when provided by the caller).
+//     which the testbed's covariance analysis reads.
 //
 // Using one recorder type for TCP, TFRC, and probe senders removes the
 // measurement asymmetry the paper had to bridge with tcpdump post-processing.
@@ -34,12 +33,6 @@ class LossEventRecorder {
   /// a NEW loss event.
   bool on_loss(double t);
 
-  /// Reports the sender's (new) send rate. Call it right after reacting to a
-  /// loss event so the recorded X_n is the paper's "rate set at the nth
-  /// loss-event"; calling it at other times keeps the current-rate shadow
-  /// fresh for senders whose rate drifts between events.
-  void note_rate(double rate) noexcept;
-
   [[nodiscard]] std::uint64_t packets() const noexcept { return packets_; }
   [[nodiscard]] std::uint64_t losses() const noexcept { return losses_; }
   [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
@@ -55,12 +48,6 @@ class LossEventRecorder {
   [[nodiscard]] const std::vector<double>& intervals_packets() const noexcept {
     return theta_;
   }
-  /// Completed inter-event durations S_n in seconds.
-  [[nodiscard]] const std::vector<double>& intervals_seconds() const noexcept {
-    return s_;
-  }
-  /// Send rate X_n at the start of interval n (parallel to intervals_*).
-  [[nodiscard]] const std::vector<double>& rates_at_event() const noexcept { return x_; }
 
   /// Packets sent since the current (open) loss event started.
   [[nodiscard]] std::uint64_t open_interval_packets() const noexcept {
@@ -79,12 +66,7 @@ class LossEventRecorder {
   std::uint64_t packets_at_first_event_ = 0;
   double last_event_t_ = -1.0;
   bool have_event_ = false;
-  bool awaiting_rate_ = false;
-  double rate_at_interval_start_ = 0.0;
-  double current_rate_ = 0.0;
   std::vector<double> theta_;
-  std::vector<double> s_;
-  std::vector<double> x_;
 };
 
 }  // namespace ebrc::stats

@@ -11,7 +11,6 @@ AimdSender::AimdSender(net::Dumbbell& net, int flow_id, AimdSenderConfig cfg)
     throw std::invalid_argument("AimdSender: bad configuration");
   }
   net_.on_data_at_receiver(flow_, [this](const net::Packet& p) { on_arrival(p); });
-  recorder_.note_rate(rate_);
 }
 
 void AimdSender::start(double at) {
@@ -38,7 +37,6 @@ void AimdSender::increase_tick() {
   // Additive increase: alpha packets/RTT per RTT, i.e. alpha/rtt in rate
   // units every RTT.
   rate_ += cfg_.alpha / cfg_.rtt_s;
-  recorder_.note_rate(rate_);
   net_.simulator().schedule(cfg_.rtt_s, [this] { increase_tick(); });
 }
 
@@ -51,10 +49,7 @@ void AimdSender::on_arrival(const net::Packet& p) {
   if (p.seq >= expected_seq_) expected_seq_ = p.seq + 1;
   recorder_.on_packet(now);
   ++received_;
-  if (new_event) {
-    rate_ *= cfg_.beta;
-    recorder_.note_rate(rate_);
-  }
+  if (new_event) rate_ *= cfg_.beta;
 }
 
 }  // namespace ebrc::tcp

@@ -160,7 +160,6 @@ void TcpConnection::on_new_ack(std::int64_t ack, double echo_time) {
   } else {
     snd_.cwnd += static_cast<double>(acked) / snd_.cwnd;  // congestion avoidance
   }
-  recorder_.note_rate(snd_.srtt > 0 ? snd_.cwnd / snd_.srtt : 0.0);
 
   if (snd_.high_ack == snd_.next_seq) {
     rto_timer_.disarm();  // everything acked; the pending event dies lazily
@@ -189,7 +188,6 @@ void TcpConnection::enter_recovery() {
   snd_.in_recovery = true;
   transmit(snd_.high_ack, /*retransmission=*/true);
   snd_.cwnd = snd_.ssthresh + static_cast<double>(cfg_.dupack_threshold);
-  recorder_.note_rate(snd_.srtt > 0 ? snd_.ssthresh / snd_.srtt : 0.0);
   arm_rto();
 }
 
@@ -203,7 +201,6 @@ void TcpConnection::on_timeout() {
   snd_.in_recovery = false;
   snd_.recover = snd_.next_seq;
   snd_.backoff = std::min(snd_.backoff * 2, 64);
-  recorder_.note_rate(snd_.srtt > 0 ? 1.0 / snd_.srtt : 0.0);
   transmit(snd_.high_ack, /*retransmission=*/true);
   arm_rto();
 }

@@ -5,7 +5,7 @@
 
 namespace ebrc::tfrc {
 
-LossHistory::LossHistory(std::vector<double> weights, bool comprehensive, bool discounting)
+LossHistory::LossHistory(core::WeightProfile weights, bool comprehensive, bool discounting)
     : estimator_(std::move(weights)), comprehensive_(comprehensive), discounting_(discounting) {}
 
 void LossHistory::on_packet(std::int64_t missing_before, double now, double rtt) {
@@ -18,10 +18,7 @@ void LossHistory::on_packet(std::int64_t missing_before, double now, double rtt)
     // The lost packets still advance the interval count.
     open_packets_ += static_cast<double>(missing_before);
     if (new_event) {
-      if (events_ > 0 && seeded_) {
-        estimator_.push(open_packets_);
-        closed_.push_back(open_packets_);
-      }
+      if (events_ > 0 && seeded_) estimator_.push(open_packets_);
       ++events_;
       last_event_time_ = now;
       open_packets_ = 0.0;
@@ -41,7 +38,6 @@ void LossHistory::reset() noexcept {
   open_packets_ = 0.0;
   last_event_time_ = -1.0;
   events_ = 0;
-  closed_.clear();
 }
 
 double LossHistory::mean_interval() const {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/estimator.hpp"
 
@@ -17,14 +16,15 @@ namespace ebrc::tfrc {
 
 class LossHistory {
  public:
-  /// `weights`: the moving-average profile (normally core::tfrc_weights(L)).
+  /// `weights`: the moving-average profile (normally the shared
+  /// core::tfrc_weight_profile(L)).
   /// `comprehensive`: include the open interval (TFRC default). The paper's
   /// lab runs disable it to isolate the basic control.
   /// `discounting`: RFC 3448 Section 5.5 history discounting — when the open
   /// interval exceeds twice the average, older intervals are de-weighted by
   /// max(0.5, 2 I_mean / I_0) so the rate recovers faster after a loss-free
   /// stretch (an extension the paper's analysis deliberately omits).
-  LossHistory(std::vector<double> weights, bool comprehensive, bool discounting = false);
+  LossHistory(core::WeightProfile weights, bool comprehensive, bool discounting = false);
 
   /// Feeds one arrived packet. `missing_before` is how many sequence numbers
   /// were skipped right before this packet (0 when in order); `now` the
@@ -47,17 +47,15 @@ class LossHistory {
 
   /// Forgets all loss state (connection reuse in the flow pool): the next
   /// transfer on this history starts from a clean estimator. Retains the
-  /// weight profile and every vector's capacity — reset allocates nothing.
+  /// weight profile and the estimator's ring — reset allocates nothing.
   void reset() noexcept;
 
   [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
   [[nodiscard]] double open_interval() const noexcept { return open_packets_; }
+  /// The closed intervals: the last L of them, newest first, behind the
+  /// estimator's value().
   [[nodiscard]] const core::MovingAverageEstimator& estimator() const noexcept {
     return estimator_;
-  }
-  /// Completed loss-event intervals (packets), most recent last.
-  [[nodiscard]] const std::vector<double>& closed_intervals() const noexcept {
-    return closed_;
   }
 
  private:
@@ -68,7 +66,6 @@ class LossHistory {
   double open_packets_ = 0.0;
   double last_event_time_ = -1.0;
   std::uint64_t events_ = 0;
-  std::vector<double> closed_;
 };
 
 }  // namespace ebrc::tfrc

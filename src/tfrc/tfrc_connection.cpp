@@ -21,16 +21,18 @@ double invert_rate(const model::ThroughputFunction& f, double target_rate) {
 
 }  // namespace
 
-TfrcConnection::TfrcConnection(net::Dumbbell& net, int flow_id, double base_rtt_s, TfrcConfig cfg)
+TfrcConnection::TfrcConnection(net::Dumbbell& net, int flow_id, double base_rtt_s,
+                               const TfrcConfig& cfg)
     : net_(net),
       flow_(flow_id),
       base_rtt_s_(base_rtt_s),
-      cfg_(std::move(cfg)),
-      unit_formula_(model::make_throughput_function(cfg_.formula, 1.0)),  // q = 4r implied
+      cfg_{cfg.packet_bytes, cfg.initial_rate_pps, cfg.rtt_smoothing, cfg.min_rate_pps,
+           cfg.receive_rate_cap},
+      unit_formula_(&model::unit_throughput_function(cfg.formula)),  // q = 4r implied
       send_ev_(net.simulator().pin([this] { send_next(); })),
       feedback_ev_(net.simulator().pin([this] { feedback_tick(); })),
-      history_(core::tfrc_weights(cfg_.history_length), cfg_.comprehensive,
-               cfg_.history_discounting),
+      history_(core::tfrc_weight_profile(cfg.history_length), cfg.comprehensive,
+               cfg.history_discounting),
       recorder_(base_rtt_s) {
   if (base_rtt_s <= 0) throw std::invalid_argument("TfrcConnection: base RTT must be > 0");
   snd_.rate = cfg_.initial_rate_pps;
@@ -173,7 +175,6 @@ void TfrcConnection::on_feedback(const net::Packet& p) {
     if (p.fb.recv_rate > 0.0) new_rate = std::min(new_rate, 2.0 * p.fb.recv_rate);
   }
   snd_.rate = std::max(cfg_.min_rate_pps, new_rate);
-  recorder_.note_rate(snd_.rate);
 }
 
 // ------------------------------------------------------------- receiver ----

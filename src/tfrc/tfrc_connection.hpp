@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -55,7 +54,8 @@ class TfrcConnection {
   /// Flow-retirement notification for pooled (finite-transfer) use.
   using CompletionFn = sim::InlineFunction<void(), 24>;
 
-  TfrcConnection(net::Dumbbell& net, int flow_id, double base_rtt_s, TfrcConfig cfg = {});
+  TfrcConnection(net::Dumbbell& net, int flow_id, double base_rtt_s,
+                 const TfrcConfig& cfg = {});
 
   // Registers this-capturing handlers and pinned events at construction;
   // the object must stay at its construction address.
@@ -126,11 +126,22 @@ class TfrcConnection {
   void on_data(const net::Packet& p);
   void feedback_tick();
 
+  /// The TfrcConfig fields read after construction. The formula name and
+  /// the estimator options are consumed by the constructor; a pool of
+  /// connections does not carry a copy of them each.
+  struct Params {
+    double packet_bytes;
+    double initial_rate_pps;
+    double rtt_smoothing;
+    double min_rate_pps;
+    bool receive_rate_cap;
+  };
+
   net::Dumbbell& net_;
   int flow_;
   double base_rtt_s_;
-  TfrcConfig cfg_;
-  std::shared_ptr<const model::ThroughputFunction> unit_formula_;  // rtt = 1, q = 4
+  Params cfg_;
+  const model::ThroughputFunction* unit_formula_;  // rtt = 1, q = 4; shared per family
 
   // Pinned per-packet/per-RTT events (pacing and feedback fire constantly;
   // `snd_.running` gates them instead of cancellation).

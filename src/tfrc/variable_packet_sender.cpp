@@ -16,7 +16,7 @@ VariablePacketSender::VariablePacketSender(
       dropper_(dropper),
       f_(std::move(function)),
       cfg_(cfg),
-      estimator_(core::tfrc_weights(cfg.history_length)) {
+      estimator_(core::tfrc_weight_profile(cfg.history_length)) {
   if (!f_) throw std::invalid_argument("VariablePacketSender: null function");
   if (cfg.packet_rate_pps <= 0) {
     throw std::invalid_argument("VariablePacketSender: packet rate must be > 0");

@@ -9,12 +9,18 @@
 // geometrically when full, using the one `count == capacity` check the push
 // already makes, so once a ring has reached its peak population the steady
 // state performs zero heap allocations.
+//
+// The ring is 24 bytes: one owning pointer plus 32-bit head, count and
+// capacity. Every dumbbell flow embeds two of them (its tail and reverse
+// pipes), so the header, not the storage, is what a million-slot pool pays
+// for the pipes that never carry a packet.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <type_traits>
-#include <vector>
 
 namespace ebrc::util {
 
@@ -39,11 +45,11 @@ class RingBuffer {
 
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
   void push_back(const T& v) {
-    if (count_ == buf_.size()) reallocate(buf_.empty() ? kMinCapacity : buf_.size() * 2);
-    buf_[(head_ + count_) & mask_] = v;
+    if (count_ == cap_) reallocate(cap_ == 0 ? kMinCapacity : std::size_t{cap_} * 2);
+    buf_[(head_ + count_) & mask()] = v;
     ++count_;
   }
 
@@ -59,16 +65,16 @@ class RingBuffer {
   /// Element `i` positions behind the front (0 = front). i < size().
   [[nodiscard]] T& at_offset(std::size_t i) noexcept {
     assert(i < count_);
-    return buf_[(head_ + i) & mask_];
+    return buf_[(head_ + i) & mask()];
   }
   [[nodiscard]] const T& at_offset(std::size_t i) const noexcept {
     assert(i < count_);
-    return buf_[(head_ + i) & mask_];
+    return buf_[(head_ + i) & mask()];
   }
 
   void pop_front() noexcept {
     assert(count_ > 0);
-    head_ = (head_ + 1) & mask_;
+    head_ = (head_ + 1) & mask();
     --count_;
   }
 
@@ -80,18 +86,23 @@ class RingBuffer {
  private:
   static constexpr std::size_t kMinCapacity = 16;
 
+  /// Index mask; capacity is a power of two whenever storage exists.
+  [[nodiscard]] std::uint32_t mask() const noexcept { return cap_ - 1; }
+
   void reallocate(std::size_t new_capacity) {
-    std::vector<T> next(new_capacity);
-    for (std::size_t i = 0; i < count_; ++i) next[i] = buf_[(head_ + i) & mask_];
+    assert(new_capacity <= (std::size_t{1} << 31) && "ring capacity outgrew 32-bit indexes");
+    auto next = std::make_unique<T[]>(new_capacity);  // value-initialised, like vector(n)
+    for (std::uint32_t i = 0; i < count_; ++i) next[i] = buf_[(head_ + i) & mask()];
     buf_ = std::move(next);
     head_ = 0;
-    mask_ = buf_.size() - 1;
+    cap_ = static_cast<std::uint32_t>(new_capacity);
   }
 
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::size_t mask_ = 0;
+  std::unique_ptr<T[]> buf_;
+  std::uint32_t head_ = 0;
+  std::uint32_t count_ = 0;
+  std::uint32_t cap_ = 0;
 };
+static_assert(sizeof(RingBuffer<double>) == 24, "RingBuffer header grew past three words");
 
 }  // namespace ebrc::util

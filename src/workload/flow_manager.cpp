@@ -73,19 +73,18 @@ void FlowManager::begin_epoch() {
   pop_.begin_epoch(now);
   epoch_start_ = now;
   epoch_open_ = true;
-  // One contiguous SideState sweep per class; only wired sides dereference a
-  // connection. Written once against the Sender concept for the whole zoo.
+  // One snapshot sweep per class over its wired connections.
+  // Written once against the Sender concept for the whole zoo.
   for (int c = 0; c < kFlowClasses; ++c) {
-    for (std::size_t i = 0; i < pools_.size(); ++i) {
-      SideState& sd = pools_.side(c, i);
-      if (sd.conn < 0) continue;
-      pools_.with_sender(c, sd.conn, [&sd](const auto& conn) {
-        sd.delivered0 = conn.delivered();
-        sd.packets0 = conn.recorder().packets();
-        sd.losses0 = conn.recorder().losses();
-        sd.events0 = conn.recorder().events();
-        sd.qd_sum0 = conn.queuing_delay_sum_s();
-        sd.qd_count0 = conn.queuing_delay_samples();
+    for (std::int32_t k = 0; k < pools_.connections(c); ++k) {
+      EpochSnapshot& s = pools_.snapshot(c, k);
+      pools_.with_sender(c, k, [&s](const auto& conn) {
+        s.delivered0 = conn.delivered();
+        s.packets0 = conn.recorder().packets();
+        s.losses0 = conn.recorder().losses();
+        s.events0 = conn.recorder().events();
+        s.qd_sum0 = conn.queuing_delay_sum_s();
+        s.qd_count0 = conn.queuing_delay_samples();
       });
     }
   }
@@ -135,27 +134,27 @@ void FlowManager::arrival() {
 }
 
 void FlowManager::ensure_side(std::size_t idx, FlowClass cls) {
-  SideState& sd = pools_.side(class_index(cls), idx);
-  if (sd.conn >= 0) return;
+  std::int32_t& conn = pools_.slot(idx).conn[class_index(cls)];
+  if (conn >= 0) return;
   // First use of this slot under `cls`: wire a dumbbell flow and construct
   // the connection permanently (handlers + pinned events registered once).
   const double jitter =
       cfg_.rtt_spread > 0 ? cfg_.rtt_spread * (path_rng_.uniform() - 0.5) : 0.0;
   const double rtt = cfg_.base_rtt_s * (1.0 + jitter);
   const double one_way = std::max(0.0, rtt / 2.0 - cfg_.shared_prop_s);
-  sd.flow_id = net_.add_flow(one_way, rtt / 2.0);
+  const int flow_id = net_.add_flow(one_way, rtt / 2.0);
   switch (cls) {
     case FlowClass::kTfrc:
-      sd.conn = pools_.make_tfrc(net_, sd.flow_id, rtt, cfg_.tfrc);
+      conn = pools_.make_tfrc(net_, flow_id, rtt, cfg_.tfrc);
       break;
     case FlowClass::kTcp:
-      sd.conn = pools_.make_tcp(net_, sd.flow_id, rtt, cfg_.tcp);
+      conn = pools_.make_tcp(net_, flow_id, rtt, cfg_.tcp);
       break;
     case FlowClass::kDelayAimd:
-      sd.conn = pools_.make_delay_aimd(net_, sd.flow_id, rtt, cfg_.aimd);
+      conn = pools_.make_delay_aimd(net_, flow_id, rtt, cfg_.aimd);
       break;
     case FlowClass::kRcp:
-      sd.conn = pools_.make_rcp(net_, sd.flow_id, rtt, cfg_.rcp);
+      conn = pools_.make_rcp(net_, flow_id, rtt, cfg_.rcp);
       break;
   }
 }
@@ -196,7 +195,7 @@ void FlowManager::admit(int session_remaining) {
   pop_.on_open(now, class_index(cls));
 
   const auto packets = static_cast<std::uint64_t>(std::llround(size));
-  const std::int32_t conn = pools_.side(class_index(cls), idx).conn;
+  const std::int32_t conn = slot.conn[class_index(cls)];
   pools_.with_sender(class_index(cls), conn, [this, idx, packets](auto& sender) {
     sender.open(packets, [this, idx] { complete(idx); });
   });
@@ -244,7 +243,9 @@ WorkloadSummary FlowManager::summarize() {
   // the aggregate loss-event rate over the window from the slots' cumulative
   // counters against the epoch snapshots. One generic Sender sweep covers
   // the whole zoo, including the queuing-delay telemetry only the
-  // delay-sensing classes report.
+  // delay-sensing classes report. The sweep walks slots, not connections:
+  // qd_sum is a floating-point sum, and slot order is the order it has
+  // always been added in.
   double qd_sum = 0.0;
   std::uint64_t qd_count = 0;
   for (int c = 0; c < kFlowClasses; ++c) {
@@ -254,16 +255,18 @@ WorkloadSummary FlowManager::summarize() {
     out.*f.completion_s = t.mean();
     out.*f.completion_cov = t.cv();
     std::uint64_t del = 0, pk = 0, lo = 0, ev = 0;
-    for (const SideState& sd : pools_.sides(c)) {
-      if (sd.conn < 0) continue;
-      pools_.with_sender(c, sd.conn, [&](const auto& conn) {
-        del += conn.delivered() - sd.delivered0;
+    for (std::size_t i = 0; i < pools_.size(); ++i) {
+      const std::int32_t k = pools_.slot(i).conn[c];
+      if (k < 0) continue;
+      const EpochSnapshot& s = pools_.snapshot(c, k);
+      pools_.with_sender(c, k, [&](const auto& conn) {
+        del += conn.delivered() - s.delivered0;
         const auto& rec = conn.recorder();
-        pk += rec.packets() - sd.packets0;
-        lo += rec.losses() - sd.losses0;
-        ev += rec.events() - sd.events0;
-        qd_sum += conn.queuing_delay_sum_s() - sd.qd_sum0;
-        qd_count += conn.queuing_delay_samples() - sd.qd_count0;
+        pk += rec.packets() - s.packets0;
+        lo += rec.losses() - s.losses0;
+        ev += rec.events() - s.events0;
+        qd_sum += conn.queuing_delay_sum_s() - s.qd_sum0;
+        qd_count += conn.queuing_delay_samples() - s.qd_count0;
       });
     }
     out.*f.goodput_pps = static_cast<double>(del) / window;

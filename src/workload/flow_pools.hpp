@@ -10,28 +10,33 @@
 // visit dragged in two std::optional connections' worth of cold bytes
 // (~1 KB per slot) to read ~30 hot ones.
 //
-// FlowPools therefore splits the pool into parallel arrays indexed by slot
-// id:
+// FlowPools therefore splits the pool into parallel arrays:
 //
-//   SlotState[]        — the per-transfer attributes admit/complete touch
-//                        (24 B each; one cache line carries ~2.6 slots)
-//   SideState[N][]     — per traffic class, the slot's dumbbell wiring and
-//                        epoch counter snapshots (56 B each; the epoch sweep
-//                        walks one class's array contiguously)
-//   deque<Connection>  — the heavy protocol objects, constructed on demand,
-//                        address-stable forever, referenced from SideState
+//   SlotState[]        — per slot id: the per-transfer attributes
+//                        admit/complete touch plus the slot's connection
+//                        index in each class (40 B each; -1 = never wired)
+//   deque<Connection>  — per traffic class, the heavy protocol objects,
+//                        constructed on a slot's first use of that class,
+//                        address-stable forever, referenced from SlotState
 //                        by index (never by pointer, so the arrays stay
 //                        trivially copyable)
+//   EpochSnapshot[]    — per traffic class, parallel to its connection
+//                        pool: the counters begin_epoch() snapshots (48 B
+//                        per wired connection, none for a class a slot never
+//                        carried)
+//
+// The dumbbell flow id lives in the connection, which stamps it on every
+// packet; the pool never reads it again after wiring.
 //
 // Four traffic classes ride the pool (FlowClass): TFRC and TCP from the
-// paper, plus the PR 9 controller zoo — delay-based AIMD and RCP. All four
+// paper, plus the controller zoo — delay-based AIMD and RCP. All four
 // connection types satisfy the workload::Sender concept (checked below), and
 // with_sender() dispatches a generic visitor over the class tag so the
 // manager's epoch sweeps are written once, not four times.
 //
 // Static tripwires pin the record layouts the same way the 56-B Packet and
-// 24-B queue-entry guards do: growing a record past its line budget is a
-// compile error, not a silent regression.
+// 24-B queue-entry guards do: growing a record past its budget is a compile
+// error, not a silent regression.
 #pragma once
 
 #include <cstddef>
@@ -58,88 +63,84 @@ static_assert(Sender<tcp::TcpConnection>);
 static_assert(Sender<delay_aimd::DelayAimdConnection>);
 static_assert(Sender<rcp::RcpConnection>);
 
-/// Hot per-slot transfer attributes: everything admit()/complete() read or
-/// write per transfer, and nothing else.
+/// Per-slot record: everything admit()/complete() read or write per
+/// transfer, and the slot's connection in each class.
 struct SlotState {
   double size_pkts = 0.0;
   double opened_at = 0.0;
   std::int32_t session_remaining = 0;  // follow-up transfers after this one
   std::int8_t cls = 0;                 // current/last occupant (FlowClass)
   bool busy = false;                   // occupancy guard: admit/complete alternate
+  std::int32_t conn[kFlowClasses] = {-1, -1, -1, -1};  // index into each class's pool
 };
-static_assert(sizeof(SlotState) == 24, "SlotState grew past its line budget");
+static_assert(sizeof(SlotState) == 40, "SlotState grew past its budget");
 static_assert(alignof(SlotState) == 8);
 static_assert(std::is_trivially_copyable_v<SlotState>);
 
-/// Per-(slot, traffic-class) wiring and epoch snapshots. Stored as one array
-/// per class so begin_epoch()/summarize() sweep each class contiguously.
-struct SideState {
-  std::int32_t flow_id = -1;  // dumbbell flow, wired once at first use
-  std::int32_t conn = -1;     // index into the class's connection pool
-  // epoch snapshots of the cumulative per-connection counters
+/// Epoch snapshots of one connection's cumulative counters, taken by
+/// begin_epoch() and subtracted by summarize().
+struct EpochSnapshot {
   std::uint64_t delivered0 = 0;
   std::uint64_t packets0 = 0;
   std::uint64_t losses0 = 0;
   std::uint64_t events0 = 0;
-  // queuing-delay telemetry snapshots (delay-sensing controllers; zero for
-  // the loss-based classes)
+  // queuing-delay telemetry (delay-sensing controllers; zero for the
+  // loss-based classes)
   double qd_sum0 = 0.0;
   std::uint64_t qd_count0 = 0;
 };
-static_assert(sizeof(SideState) == 56, "SideState grew past its line budget");
-static_assert(alignof(SideState) == 8);
-static_assert(std::is_trivially_copyable_v<SideState>);
+static_assert(sizeof(EpochSnapshot) == 48, "EpochSnapshot grew past its budget");
+static_assert(std::is_trivially_copyable_v<EpochSnapshot>);
 
 class FlowPools {
  public:
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
-  /// Pre-sizes the SoA arrays (not the connection pools — those are built
-  /// lazily, one per slot-side actually exercised).
-  void reserve(std::size_t n) {
-    slots_.reserve(n);
-    for (auto& s : sides_) s.reserve(n);
-  }
+  /// Pre-sizes the slot array (not the connection pools or their snapshots —
+  /// those are built lazily, one per slot-side actually exercised).
+  void reserve(std::size_t n) { slots_.reserve(n); }
 
-  /// Appends an empty slot (all sides unwired) and returns its id.
+  /// Appends an empty slot (no class wired) and returns its id.
   std::size_t add_slot() {
     slots_.emplace_back();
-    for (auto& s : sides_) s.emplace_back();
     return slots_.size() - 1;
   }
 
   [[nodiscard]] SlotState& slot(std::size_t i) noexcept { return slots_[i]; }
   [[nodiscard]] const SlotState& slot(std::size_t i) const noexcept { return slots_[i]; }
-  [[nodiscard]] SideState& side(int cls, std::size_t i) noexcept { return sides_[cls][i]; }
-  [[nodiscard]] const SideState& side(int cls, std::size_t i) const noexcept {
-    return sides_[cls][i];
+
+  /// Connections ever built in class `cls`.
+  [[nodiscard]] std::int32_t connections(int cls) const noexcept {
+    return static_cast<std::int32_t>(snaps_[cls].size());
   }
-  /// The whole per-class array, for contiguous epoch sweeps.
-  [[nodiscard]] const std::vector<SideState>& sides(int cls) const noexcept {
-    return sides_[cls];
+  [[nodiscard]] EpochSnapshot& snapshot(int cls, std::int32_t c) noexcept {
+    return snaps_[cls][c];
+  }
+  [[nodiscard]] const EpochSnapshot& snapshot(int cls, std::int32_t c) const noexcept {
+    return snaps_[cls][c];
   }
 
-  /// Constructs a connection in the class pool (address-stable deque) and
-  /// returns its index for SideState::conn.
+  /// Constructs a connection in the class pool (address-stable deque) with
+  /// a zeroed epoch snapshot and returns its index for SlotState::conn.
   [[nodiscard]] std::int32_t make_tfrc(net::Dumbbell& net, int flow_id, double rtt,
                                        const tfrc::TfrcConfig& cfg) {
     tfrc_.emplace_back(net, flow_id, rtt, cfg);
-    return static_cast<std::int32_t>(tfrc_.size() - 1);
+    return add_snapshot(FlowClass::kTfrc);
   }
   [[nodiscard]] std::int32_t make_tcp(net::Dumbbell& net, int flow_id, double rtt,
                                       const tcp::TcpConfig& cfg) {
     tcp_.emplace_back(net, flow_id, rtt, cfg);
-    return static_cast<std::int32_t>(tcp_.size() - 1);
+    return add_snapshot(FlowClass::kTcp);
   }
   [[nodiscard]] std::int32_t make_delay_aimd(net::Dumbbell& net, int flow_id, double rtt,
                                              const delay_aimd::DelayAimdConfig& cfg) {
     aimd_.emplace_back(net, flow_id, rtt, cfg);
-    return static_cast<std::int32_t>(aimd_.size() - 1);
+    return add_snapshot(FlowClass::kDelayAimd);
   }
   [[nodiscard]] std::int32_t make_rcp(net::Dumbbell& net, int flow_id, double rtt,
                                       const rcp::RcpConfig& cfg) {
     rcp_.emplace_back(net, flow_id, rtt, cfg);
-    return static_cast<std::int32_t>(rcp_.size() - 1);
+    return add_snapshot(FlowClass::kRcp);
   }
 
   [[nodiscard]] tfrc::TfrcConnection& tfrc(std::int32_t c) noexcept { return tfrc_[c]; }
@@ -182,8 +183,14 @@ class FlowPools {
   }
 
  private:
+  std::int32_t add_snapshot(FlowClass cls) {
+    std::deque<EpochSnapshot>& s = snaps_[static_cast<int>(cls)];
+    s.emplace_back();
+    return static_cast<std::int32_t>(s.size() - 1);
+  }
+
   std::vector<SlotState> slots_;
-  std::vector<SideState> sides_[kFlowClasses];
+  std::deque<EpochSnapshot> snaps_[kFlowClasses];  // parallel to the pools below
   std::deque<tfrc::TfrcConnection> tfrc_;  // deque: connections never relocate
   std::deque<tcp::TcpConnection> tcp_;
   std::deque<delay_aimd::DelayAimdConnection> aimd_;

@@ -14,8 +14,8 @@
 //
 // And the per-flow memory budget of the many-flows regime: a dumbbell flow's
 // delay pipes allocate their packet rings only when the first packet is
-// staged, so adding a flow costs a fixed few hundred bytes however large the
-// pool grows.
+// staged, so adding a flow costs a fixed ~170 bytes however large the pool
+// grows.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -202,12 +202,13 @@ TEST(PacketPathAlloc, FlowPipesAllocateTheirRingsOnFirstPacket) {
 }
 
 TEST(PacketPathAlloc, AddFlowStaysWithinPerFlowByteBudget) {
-  // Measured on libstdc++ (x86-64): 256 B of dumbbell Flow plus two 64-B
+  // Measured on libstdc++ (x86-64): 128 B of dumbbell Flow plus two 16-B
   // pinned delivery closures, with the deques' block and map overhead on
-  // top — 408.5 B per flow. The budget leaves 25% headroom. A pre-sized ring
+  // top — 170.2 B per flow. The budget is that plus 25%. A pre-sized ring
   // per pipe (2 x 1 KB and up) breaks it, and so does a Flow grown past
-  // 256 B, which libstdc++ stores one per 512-B deque block.
-  constexpr std::uint64_t kBudgetBytesPerFlow = 512;
+  // 128 B (libstdc++ stores four per 512-B deque block) or a pinned closure
+  // back at the kernel's 64-B EventFn.
+  constexpr std::uint64_t kBudgetBytesPerFlow = 213;
   constexpr int kFlows = 10000;
   sim::Simulator sim;
   net::Dumbbell net(sim, net::Queue::drop_tail(32), 1e6, 0.001);

@@ -153,29 +153,12 @@ TEST(LossEventRecorder, IntervalsAndRates) {
       ++sent;
     }
     rec.on_loss(t);
-    rec.note_rate(1.0);
   }
   ASSERT_EQ(rec.events(), 5u);
   ASSERT_EQ(rec.intervals_packets().size(), 4u);
   for (double th : rec.intervals_packets()) EXPECT_DOUBLE_EQ(th, 10.0);
-  for (double s : rec.intervals_seconds()) EXPECT_DOUBLE_EQ(s, 10.0);
   EXPECT_NEAR(rec.loss_event_rate(), 0.1, 1e-9);
   EXPECT_NEAR(rec.mean_interval(), 10.0, 1e-9);
-}
-
-TEST(LossEventRecorder, RecordsRateSetAfterEvent) {
-  LossEventRecorder rec(0.5);
-  rec.on_packet(0.0);
-  rec.on_loss(1.0);
-  rec.note_rate(42.0);  // rate set at event 0 -> X_0
-  for (int i = 0; i < 10; ++i) rec.on_packet(1.0 + i * 0.1);
-  rec.on_loss(3.0);
-  rec.note_rate(7.0);
-  rec.on_packet(3.1);
-  rec.on_loss(5.0);
-  ASSERT_EQ(rec.rates_at_event().size(), 2u);
-  EXPECT_DOUBLE_EQ(rec.rates_at_event()[0], 42.0);
-  EXPECT_DOUBLE_EQ(rec.rates_at_event()[1], 7.0);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ using namespace ebrc;
 using tfrc::LossHistory;
 
 TEST(LossHistory, ClosesIntervalsOnSpacedLosses) {
-  LossHistory h(core::tfrc_weights(4), /*comprehensive=*/true);
+  LossHistory h(core::tfrc_weight_profile(4), /*comprehensive=*/true);
   const double rtt = 0.1;
   double t = 0.0;
   EXPECT_FALSE(h.has_loss());
@@ -29,14 +29,18 @@ TEST(LossHistory, ClosesIntervalsOnSpacedLosses) {
   }
   EXPECT_TRUE(h.has_loss());
   EXPECT_EQ(h.events(), 6u);
-  ASSERT_GE(h.closed_intervals().size(), 4u);
-  // Every closed interval contains the 10 arrivals + 1 lost + the packet
-  // after the previous gap = 12 sequence numbers.
-  for (double v : h.closed_intervals()) EXPECT_NEAR(v, 12.0, 1e-12);
+  // Five intervals closed after the seed (events 2..6); the window holds
+  // the last four. Every closed interval contains the 10 arrivals + 1 lost
+  // + the packet after the previous gap = 12 sequence numbers, so with every
+  // seed entry pushed out the estimator reads exactly 12.
+  const core::MovingAverageEstimator& est = h.estimator();
+  EXPECT_EQ(est.history_size(), 4u);
+  EXPECT_NEAR(est.value(), 12.0, 1e-12);
+  EXPECT_NEAR(est.shifted_tail() / est.shifted_tail_mass(), 12.0, 1e-12);
 }
 
 TEST(LossHistory, GroupsLossesWithinOneRtt) {
-  LossHistory h(core::tfrc_weights(4), true);
+  LossHistory h(core::tfrc_weight_profile(4), true);
   const double rtt = 1.0;
   double t = 0.0;
   for (int k = 0; k < 20; ++k) h.on_packet(0, t += 0.01, rtt);
@@ -48,8 +52,8 @@ TEST(LossHistory, GroupsLossesWithinOneRtt) {
 }
 
 TEST(LossHistory, ComprehensiveIncludesOpenInterval) {
-  LossHistory hc(core::tfrc_weights(2), true);
-  LossHistory hb(core::tfrc_weights(2), false);
+  LossHistory hc(core::tfrc_weight_profile(2), true);
+  LossHistory hb(core::tfrc_weight_profile(2), false);
   const double rtt = 0.1;
   double t = 0.0;
   for (LossHistory* h : {&hc, &hb}) {
@@ -69,7 +73,7 @@ TEST(LossHistory, ComprehensiveIncludesOpenInterval) {
 }
 
 TEST(LossHistory, RequiresSeedBeforeQuery) {
-  LossHistory h(core::tfrc_weights(4), true);
+  LossHistory h(core::tfrc_weight_profile(4), true);
   EXPECT_THROW((void)h.mean_interval(), std::logic_error);
   EXPECT_DOUBLE_EQ(h.loss_event_rate(), 0.0);
   EXPECT_THROW(h.on_packet(-1, 0.0, 0.1), std::invalid_argument);
