@@ -121,6 +121,7 @@ TEST(ResultStore, PayloadDigestIsPinned) {
   EXPECT_EQ(payload_digest(short_ns2(123)), 0xab4aa2c2cd55d406ull);
   EXPECT_EQ(payload_digest(short_churn("")), 0xfb57f5ef6de56e02ull);
   EXPECT_EQ(payload_digest(short_churn("delay_aimd")), 0x1d2736deeea28106ull);
+  EXPECT_EQ(payload_digest(short_churn("rcp")), 0x3824c2160b7e6d0cull);
 }
 
 TEST(ResultStore, DecoderRejectsEveryMalformedPayload) {
