@@ -3,7 +3,8 @@
 // paper's pair) beside delay-AIMD (goog_cc-style overuse detection) and RCP
 // (router-assisted explicit rate).
 //
-// Grid: {tfrc, tcp, delay_aimd, rcp} × offered load. Every cell is a churn
+// Grid: the zoo's classes (workload/zoo.hpp: tfrc, tcp, delay_aimd, rcp) ×
+// offered load. Every cell is a churn
 // scenario (Poisson arrivals of finite transfers over the ns-2 bottleneck)
 // with [workload] controller pinned, so ALL transfers in a cell run one
 // controller class. At each load the four arms are common-random-number
@@ -42,8 +43,9 @@ namespace {
 using namespace ebrc;
 
 // In FlowClass order, so a controller's index also picks its kClassFields slice.
-constexpr const char* kControllers[] = {"tfrc", "tcp", "delay_aimd", "rcp"};
 constexpr std::size_t kNumControllers = workload::kFlowClasses;
+
+std::string controller(std::size_t c) { return std::string(workload::kClassInfo[c].controller); }
 
 std::string load_tag(double rho) {
   char buf[32];
@@ -76,9 +78,9 @@ int main(int argc, char** argv) {
   std::vector<testbed::Scenario> batch;
   for (double rho : loads) {
     const std::string tag = load_tag(rho);
-    auto make_arm = [&](const char* ctrl) {
+    auto make_arm = [&](const std::string& ctrl) {
       auto sc = testbed::churn_scenario(rho, /*tfrc_fraction=*/0.5, /*seed=*/0);
-      sc.name = "ctrlmx-" + std::string(ctrl) + "-rho" + tag;
+      sc.name = "ctrlmx-" + ctrl + "-rho" + tag;
       sc.workload.controller = ctrl;
       sc.duration_s = duration;
       sc.warmup_s = duration / 6.0;
@@ -86,13 +88,15 @@ int main(int argc, char** argv) {
     };
     // replicate_paired derives one seed stream per (root, tag, rep); reusing
     // the pair's seeds for the two extra arms extends CRN to all four.
-    const auto pair = testbed::replicate_paired(make_arm("tfrc"), make_arm("tcp"),
+    const auto pair = testbed::replicate_paired(make_arm(controller(0)), make_arm(controller(1)),
                                                 "ctrlmx-rho" + tag, args.seed, args.reps);
-    std::vector<testbed::Scenario> arms[kNumControllers] = {pair.a, pair.b, pair.b, pair.b};
-    for (std::size_t c = 2; c < kNumControllers; ++c) {
+    std::vector<testbed::Scenario> arms[kNumControllers];
+    arms[0] = pair.a;
+    for (std::size_t c = 1; c < kNumControllers; ++c) {
+      arms[c] = pair.b;
       for (auto& sc : arms[c]) {
-        sc.workload.controller = kControllers[c];
-        sc.name = "ctrlmx-" + std::string(kControllers[c]) + "-rho" + tag;
+        sc.workload.controller = controller(c);
+        sc.name = "ctrlmx-" + controller(c) + "-rho" + tag;
       }
     }
     for (const auto& arm : arms) batch.insert(batch.end(), arm.begin(), arm.end());
@@ -138,7 +142,7 @@ int main(int argc, char** argv) {
       }
       const double pops = wheel_pops + heap_pops;
       const double wheel_share = pops > 0 ? wheel_pops / pops : 0.0;
-      t.row({util::fmt(loads[l], 3), std::string(kControllers[c]), util::fmt(goodput.mean(), 5),
+      t.row({util::fmt(loads[l], 3), controller(c), util::fmt(goodput.mean(), 5),
              util::fmt(loss.mean(), 4), util::fmt(qdelay.mean(), 4),
              util::fmt(completion.mean(), 5), util::fmt(cov.mean(), 4),
              util::fmt(flows.mean(), 4), util::fmt(util_m.mean(), 3),
@@ -146,7 +150,7 @@ int main(int argc, char** argv) {
       csv_rows.push_back({loads[l], static_cast<double>(c), goodput.mean(), loss.mean(),
                           qdelay.mean(), completion.mean(), cov.mean(), flows.mean(),
                           util_m.mean(), wheel_share});
-      engine_cells.push_back({loads[l], kControllers[c],
+      engine_cells.push_back({loads[l], controller(c),
                               static_cast<std::uint64_t>(wheel_pops),
                               static_cast<std::uint64_t>(heap_pops)});
     }
@@ -171,7 +175,7 @@ int main(int argc, char** argv) {
         d_completions.add(static_cast<double>(a.workload.completions) -
                           static_cast<double>(b.workload.completions));
       }
-      ct.row({util::fmt(loads[l], 3), std::string(kControllers[c]) + " - tfrc",
+      ct.row({util::fmt(loads[l], 3), controller(c) + " - " + controller(0),
               util::fmt(d_goodput.mean(), 5), util::fmt(d_goodput.ci_halfwidth(), 3),
               util::fmt(d_completion.mean(), 5), util::fmt(d_completion.ci_halfwidth(), 3),
               util::fmt(d_completions.mean(), 5), util::fmt(d_completions.ci_halfwidth(), 3)});

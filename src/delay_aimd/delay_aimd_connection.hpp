@@ -1,167 +1,130 @@
-// Delay-based AIMD rate control in the goog_cc style: the sender watches
-// queuing delay (RTT sample minus the per-transfer minimum RTT), detects
-// overuse against an adaptive threshold, and runs a Hold/Increase/Decrease
-// state machine with link-capacity estimation — multiplicative decrease to
-// beta times the delivered rate on overuse, additive increase near the
-// capacity estimate, multiplicative increase far below it.
+// Delay-based AIMD rate control in the goog_cc style, as a rate law over the
+// shared paced sender (rate/rate_connection.hpp).
+//
+// Per receiver report the law takes the queuing delay (the RTT sample minus
+// the per-transfer minimum RTT; there is no one-way-delay gradient or
+// trendline filter), compares it with an adaptive overuse threshold, and
+// runs a Hold/Increase/Decrease state machine with link-capacity estimation:
+// multiplicative decrease to beta times the delivered rate on overuse,
+// additive increase near the capacity estimate, multiplicative increase far
+// below it. A report without a positive RTT sample is dropped whole.
 //
 // Unlike TFRC/TCP this controller SEES the queue: it backs off before losses
-// happen and exports queuing-delay telemetry (sum + sample count) that
-// loss-based metrics cannot, which is the whole point of putting it in the
-// controller matrix.
-//
-// Wire protocol: data packets carry the sender's smoothed RTT as a hint (the
-// receiver paces feedback off it, like TFRC); the receiver sends one
-// kFeedback report per RTT with mean_interval = 0 (no loss-interval
-// estimator here), the measured receive rate, and the echo timestamp the
-// sender turns into an RTT sample.
-//
-// Interfaces use the typed units of util/units.hpp (DataRate, TimeDelta) so
-// a rate can't be accidentally fed where a delay belongs; the compiler
-// enforces what a double-typed API leaves to code review.
+// happen, which is the point of putting it in the controller matrix.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <type_traits>
+#include <stdexcept>
 
-#include "net/dumbbell.hpp"
-#include "stats/loss_events.hpp"
-#include "stats/online.hpp"
+#include "rate/rate_connection.hpp"
 #include "util/units.hpp"
 
 namespace ebrc::delay_aimd {
 
-struct DelayAimdConfig {
-  double packet_bytes = 1000.0;
-  util::DataRate initial_rate = util::DataRate::packets_per_second(2.0);
-  util::DataRate min_rate = util::DataRate::packets_per_second(0.1);
-  /// Multiplicative-decrease factor applied to the delivered rate on overuse.
-  double beta = 0.85;
-  /// Multiplicative-increase factor when far below the capacity estimate.
-  double increase_factor = 1.08;
-  /// Overuse threshold adaptation (goog_cc): the threshold chases |queuing
-  /// delay| fast when exceeded (k_up) and decays slowly otherwise (k_down),
-  /// bounded to [min_threshold, max_threshold].
-  util::TimeDelta min_threshold = util::TimeDelta::millis(2.0);
-  util::TimeDelta max_threshold = util::TimeDelta::millis(600.0);
-  util::TimeDelta initial_threshold = util::TimeDelta::millis(12.5);
-  double k_up = 0.01;
-  double k_down = 0.00018;
-  /// EWMA coefficient for the RTT estimate (same convention as TFRC).
-  double rtt_smoothing = 0.9;
-};
-
-class DelayAimdConnection {
+class DelayAimdLaw {
  public:
-  using CompletionFn = sim::InlineFunction<void(), 24>;
+  struct Params {
+    /// Multiplicative-decrease factor applied to the delivered rate on overuse.
+    double beta = 0.85;
+    /// Multiplicative-increase factor when far below the capacity estimate.
+    double increase_factor = 1.08;
+    /// Overuse threshold adaptation (goog_cc): the threshold chases |queuing
+    /// delay| fast when exceeded (k_up) and decays slowly otherwise (k_down),
+    /// bounded to [min_threshold, max_threshold].
+    util::TimeDelta min_threshold = util::TimeDelta::millis(2.0);
+    util::TimeDelta max_threshold = util::TimeDelta::millis(600.0);
+    util::TimeDelta initial_threshold = util::TimeDelta::millis(12.5);
+    double k_up = 0.01;
+    double k_down = 0.00018;
+  };
 
-  DelayAimdConnection(net::Dumbbell& net, int flow_id, double base_rtt_s,
-                      DelayAimdConfig cfg = {});
-
-  // Registers this-capturing handlers and pinned events at construction;
-  // the object must stay at its construction address.
-  DelayAimdConnection(const DelayAimdConnection&) = delete;
-  DelayAimdConnection& operator=(const DelayAimdConnection&) = delete;
-
-  void start(double at);
-  void stop();
-
-  // --- pooled lifecycle (Sender concept; see workload/sender.hpp) --------
-  void open(std::uint64_t transfer_packets, CompletionFn on_complete = {});
-  void close();
-  [[nodiscard]] bool active() const noexcept { return snd_.running; }
-  [[nodiscard]] std::uint64_t transfers_completed() const noexcept {
-    return transfers_completed_;
+  explicit DelayAimdLaw(const Params& params) : p_(params) {
+    if (p_.beta <= 0.0 || p_.beta > 1.0 || p_.increase_factor < 1.0) {
+      throw std::invalid_argument("DelayAimdLaw: bad parameters");
+    }
+    reset();
   }
 
-  // --- measurement -------------------------------------------------------
-  [[nodiscard]] const stats::LossEventRecorder& recorder() const noexcept { return recorder_; }
-  [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
-  [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
-  [[nodiscard]] double srtt() const noexcept { return snd_.srtt; }
-  [[nodiscard]] const stats::OnlineMoments& rtt_stats() const noexcept { return rtt_stats_; }
-  /// Cumulative queuing-delay telemetry: one sample per feedback, taken as
-  /// (RTT sample - per-transfer min RTT). Survives open()/close() cycles.
-  [[nodiscard]] double queuing_delay_sum_s() const noexcept { return qdelay_sum_s_; }
-  [[nodiscard]] std::uint64_t queuing_delay_samples() const noexcept { return qdelay_samples_; }
-  void reset_counters();
-
-  // --- typed-unit surface --------------------------------------------------
-  [[nodiscard]] util::DataRate target_rate() const noexcept { return snd_.rate; }
-  [[nodiscard]] util::DataRate link_capacity_estimate() const noexcept {
-    return snd_.capacity;
+  void reset() noexcept {
+    s_ = State{};
+    s_.threshold = p_.initial_threshold;
   }
-  [[nodiscard]] util::TimeDelta min_round_trip() const noexcept { return snd_.min_rtt; }
-  [[nodiscard]] util::TimeDelta overuse_threshold() const noexcept { return snd_.threshold; }
+
+  [[nodiscard]] util::DataRate step(const rate::RateFeedback& fb, util::DataRate rate,
+                                    util::DataRate min_rate) {
+    if (!fb.rtt_valid) return rate;  // the whole report is dropped
+
+    // Adaptive overuse threshold (goog_cc): chase the observed queuing delay
+    // fast when exceeded, decay toward it slowly otherwise.
+    // dt capped at 100 ms, as in goog_cc: a long feedback gap must not let one
+    // adaptation step overshoot the target.
+    const double dt_ms = s_.last_feedback_time > 0
+                             ? std::min(100.0, (fb.now - s_.last_feedback_time) * 1e3)
+                             : 0.0;
+    const double k = fb.qdelay > s_.threshold ? p_.k_up : p_.k_down;
+    s_.threshold = util::min(
+        p_.max_threshold,
+        util::max(p_.min_threshold, s_.threshold + k * dt_ms * (fb.qdelay - s_.threshold)));
+    s_.last_feedback_time = fb.now;
+
+    const auto recv_rate = util::DataRate::packets_per_second(std::max(0.0, fb.recv_rate));
+    if (fb.qdelay > s_.threshold) {  // overuse
+      s_.state = RateState::kDecrease;
+      if (recv_rate > util::DataRate::zero()) {
+        // The delivered rate during overuse IS a link-capacity sample; track
+        // its EWMA mean and variance for the near-capacity test below.
+        const double err = recv_rate.pps() - s_.capacity.pps();
+        if (s_.capacity.is_zero()) {
+          s_.capacity = recv_rate;
+        } else {
+          s_.capacity = s_.capacity + util::DataRate::packets_per_second(0.05 * err);
+        }
+        s_.capacity_var = 0.95 * s_.capacity_var + 0.05 * err * err;
+        rate = p_.beta * recv_rate;
+      } else {
+        rate = p_.beta * rate;
+      }
+    } else if (s_.state == RateState::kDecrease) {
+      s_.state = RateState::kHold;  // one interval of hold after backing off
+    } else {
+      s_.state = RateState::kIncrease;
+      if (s_.capacity.is_zero()) {
+        // No capacity estimate yet (no overuse seen): slow-start like TFRC,
+        // doubling per feedback capped at twice the delivered rate.
+        rate = rate * 2.0;
+        if (recv_rate > util::DataRate::zero()) rate = util::min(rate, 2.0 * recv_rate);
+      } else {
+        const double sigma = std::sqrt(std::max(0.0, s_.capacity_var));
+        if (rate.pps() >= s_.capacity.pps() - 3.0 * sigma) {
+          // Near capacity, additive: one packet per RTT, the classic AIMD probe.
+          rate = rate + util::DataRate::packets_per_second(1.0 / std::max(1e-3, fb.srtt));
+        } else {
+          rate = rate * p_.increase_factor;
+        }
+        if (recv_rate > util::DataRate::zero()) rate = util::min(rate, 1.5 * recv_rate);
+      }
+    }
+    return util::max(rate, min_rate);
+  }
 
  private:
   enum class RateState : std::uint8_t { kHold, kIncrease, kDecrease };
 
-  void send_next();
-  void on_feedback(const net::Packet& p);
-  void finish_transfer();
-  void reset_transfer_state();
-  void on_data(const net::Packet& p);
-  void feedback_tick();
-
-  net::Dumbbell& net_;
-  int flow_;
-  double base_rtt_s_;
-  DelayAimdConfig cfg_;
-
-  sim::Simulator::PinnedEvent send_ev_;
-  sim::Simulator::PinnedEvent feedback_ev_;
-
-  /// Per-transfer sender hot state (pacing + rate control + detector). The
-  /// typed units are 8-byte trivially-copyable wrappers, so they live in the
-  /// POD rewind block directly. Chain guards survive the rewind (see
-  /// reset_transfer_state / open).
-  struct SenderState {
-    util::DataRate rate;        // current pacing rate
+  /// Per-transfer detector and capacity state.
+  struct State {
     util::DataRate capacity;    // link-capacity EWMA (0 = no estimate yet)
     double capacity_var = 0.0;  // EWMA variance of capacity samples (pps^2)
-    double srtt = 0.0;
-    util::TimeDelta min_rtt;    // per-transfer floor (0 = no sample yet)
     util::TimeDelta threshold;  // adaptive overuse threshold
     double last_feedback_time = 0.0;
-    std::int64_t next_seq = 0;
-    std::uint64_t transfer_limit = 0;
-    std::uint64_t transfer_sent = 0;
     RateState state = RateState::kHold;
-    bool running = false;
-    bool pacing_armed = false;
-    bool feedback_armed = false;
   };
-  static_assert(sizeof(SenderState) == 88, "DelayAimd sender hot state outgrew its budget");
-  static_assert(std::is_trivially_copyable_v<SenderState>);
 
-  /// Per-transfer receiver hot state, same idiom as TFRC's.
-  struct ReceiverState {
-    std::int64_t expected_seq = 0;
-    double rtt_hint = 0.0;
-    double last_feedback_time = 0.0;
-    double last_data_send_time = 0.0;
-    std::uint64_t recv_since_feedback = 0;
-    bool started = false;
-  };
-  static_assert(sizeof(ReceiverState) == 48, "DelayAimd receiver hot state outgrew its budget");
-  static_assert(std::is_trivially_copyable_v<ReceiverState>);
-
-  SenderState snd_;
-  ReceiverState rcv_;
-
-  std::uint64_t transfers_completed_ = 0;
-  CompletionFn done_;
-
-  // cumulative counters (survive open()/close())
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  double qdelay_sum_s_ = 0.0;
-  std::uint64_t qdelay_samples_ = 0;
-
-  stats::LossEventRecorder recorder_;
-  stats::OnlineMoments rtt_stats_;
-  double next_rtt_sample_at_ = 0.0;
+  Params p_;
+  State s_;
 };
+
+using DelayAimdConnection = rate::RateConnection<DelayAimdLaw>;
 
 }  // namespace ebrc::delay_aimd

@@ -3,7 +3,9 @@
 // The wire-common fields (flow, kind, seq, size, send timestamp) live
 // unconditionally; everything a single protocol direction needs rides in a
 // kind-discriminated union, so the struct stays at 56 bytes instead of the
-// 80 a flat layout costs. Every forwarded packet is copied into (and out of)
+// 80 a flat layout costs. Four arms: data (every sender), TCP's ACK, TFRC's
+// receiver report, and the rate senders' receiver report (delay-AIMD and
+// RCP share one sender and one report; see rate/rate_connection.hpp). Every forwarded packet is copied into (and out of)
 // the network layer's ring buffers, so those 24 bytes are paid on every hop
 // of every packet of every run. Readers must check `kind` before touching a
 // union arm (the protocols all branch on it already).
@@ -16,9 +18,9 @@ namespace ebrc::net {
 
 enum class PacketKind : std::uint8_t {
   kData,
-  kAck,          // TCP cumulative acknowledgment
-  kFeedback,     // TFRC / delay-AIMD receiver report
-  kRcpFeedback,  // RCP receiver echo of the router-stamped rate
+  kAck,           // TCP cumulative acknowledgment
+  kFeedback,      // TFRC receiver report
+  kRateFeedback,  // rate-sender receiver report (delay-AIMD, RCP)
 };
 
 struct Packet {
@@ -48,18 +50,18 @@ struct Packet {
     // packets/s; 0 means "no RCP router on the path has stamped yet".
     double router_rate;
   };
-  /// RCP receiver echo (kind == kRcpFeedback).
-  struct RcpInfo {
-    double rate_pps;   // router_rate of the most recent data packet
-    double recv_rate;  // packets/s measured over the last RTT
-    double echo_time;  // send_time of the packet being echoed
+  /// Rate-sender receiver report (kind == kRateFeedback).
+  struct RateFeedbackInfo {
+    double router_rate;  // router_rate of the most recent data packet (0 = none)
+    double recv_rate;    // packets/s measured over the last report interval
+    double echo_time;    // send_time of the packet being echoed
   };
 
   union {
     DataInfo data = {0.0, 0.0};  // kind == kData
     AckInfo ack;                 // kind == kAck
     FeedbackInfo fb;             // kind == kFeedback
-    RcpInfo rcp;                 // kind == kRcpFeedback
+    RateFeedbackInfo rfb;        // kind == kRateFeedback
   };
 };
 

@@ -1,139 +1,53 @@
 // RCP (Rate Control Protocol): router-assisted explicit-rate congestion
-// control per the RCP equilibrium analysis. The router on the bottleneck
-// (net::Link with enable_rcp()) computes one fair-share rate for all flows
-// and stamps it into passing data packets; the receiver echoes the stamp
-// once per RTT (kRcpFeedback) and the sender simply paces at the advertised
-// rate — no probing, no loss-driven sawtooth. Until the first stamp arrives
-// the sender slow-starts like TFRC (double per feedback, capped at twice the
-// delivered rate).
+// control per the RCP equilibrium analysis, as a rate law over the shared
+// paced sender (rate/rate_connection.hpp).
 //
-// The sender also measures queuing delay (RTT sample minus per-transfer
-// minimum) purely as telemetry: RCP's equilibrium queue should be near
-// empty, and the controller matrix's queuing-delay column is how that shows.
+// The router on the bottleneck (net::Link with enable_rcp()) computes one
+// fair-share rate for all flows and stamps it into passing data packets; the
+// receiver echoes the stamp once per RTT and the law adopts it: no probing,
+// no loss-driven sawtooth. Until the first stamp arrives the law slow-starts
+// like TFRC (double per feedback, capped at twice the delivered rate). A
+// report without a positive RTT sample still carries a usable stamp.
 //
-// Interfaces use typed units (util/units.hpp): the advertised rate is a
-// DataRate, delays are TimeDeltas, and conversion to the simulator's raw
-// doubles happens only at the packet boundary.
+// The sender's queuing-delay telemetry is how the controller matrix shows
+// whether RCP's equilibrium queue stays near empty.
 #pragma once
 
-#include <cstdint>
-#include <type_traits>
-
-#include "net/dumbbell.hpp"
-#include "stats/loss_events.hpp"
-#include "stats/online.hpp"
+#include "rate/rate_connection.hpp"
 #include "util/units.hpp"
 
 namespace ebrc::rcp {
 
-struct RcpConfig {
-  double packet_bytes = 1000.0;
-  util::DataRate initial_rate = util::DataRate::packets_per_second(2.0);
-  util::DataRate min_rate = util::DataRate::packets_per_second(0.1);
-  /// EWMA coefficient for the RTT estimate (same convention as TFRC).
-  double rtt_smoothing = 0.9;
-};
-
-class RcpConnection {
+class RcpLaw {
  public:
-  using CompletionFn = sim::InlineFunction<void(), 24>;
+  struct Params {};  // the fair share comes from the router (net::RcpParams)
 
-  RcpConnection(net::Dumbbell& net, int flow_id, double base_rtt_s, RcpConfig cfg = {});
+  explicit RcpLaw(const Params&) noexcept {}
 
-  // Registers this-capturing handlers and pinned events at construction;
-  // the object must stay at its construction address.
-  RcpConnection(const RcpConnection&) = delete;
-  RcpConnection& operator=(const RcpConnection&) = delete;
-
-  void start(double at);
-  void stop();
-
-  // --- pooled lifecycle (Sender concept; see workload/sender.hpp) --------
-  void open(std::uint64_t transfer_packets, CompletionFn on_complete = {});
-  void close();
-  [[nodiscard]] bool active() const noexcept { return snd_.running; }
-  [[nodiscard]] std::uint64_t transfers_completed() const noexcept {
-    return transfers_completed_;
+  void reset() noexcept { stamped_ = false; }
+  [[nodiscard]] util::DataRate step(const rate::RateFeedback& fb, util::DataRate rate,
+                                    util::DataRate min_rate) noexcept {
+    if (fb.router_rate > 0.0) {
+      // The router has spoken: pace at its advertised fair share.
+      stamped_ = true;
+      return util::max(min_rate, util::DataRate::packets_per_second(fb.router_rate));
+    }
+    if (stamped_) return rate;
+    // No RCP router on the path yet: TFRC-style slow start, doubling per
+    // feedback capped at twice the delivered rate.
+    auto next = rate * 2.0;
+    if (fb.recv_rate > 0.0) {
+      next = util::min(next, 2.0 * util::DataRate::packets_per_second(fb.recv_rate));
+    }
+    return util::max(min_rate, next);
   }
-
-  // --- measurement -------------------------------------------------------
-  [[nodiscard]] const stats::LossEventRecorder& recorder() const noexcept { return recorder_; }
-  [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
-  [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
-  [[nodiscard]] double srtt() const noexcept { return snd_.srtt; }
-  [[nodiscard]] const stats::OnlineMoments& rtt_stats() const noexcept { return rtt_stats_; }
-  /// Cumulative queuing-delay telemetry, one sample per feedback (RTT sample
-  /// minus the per-transfer minimum RTT).
-  [[nodiscard]] double queuing_delay_sum_s() const noexcept { return qdelay_sum_s_; }
-  [[nodiscard]] std::uint64_t queuing_delay_samples() const noexcept { return qdelay_samples_; }
-  void reset_counters();
-
-  // --- typed-unit surface --------------------------------------------------
-  [[nodiscard]] util::DataRate target_rate() const noexcept { return snd_.rate; }
-  /// True once the sender has adopted a router-advertised rate.
-  [[nodiscard]] bool rate_stamped() const noexcept { return snd_.have_stamp; }
-  [[nodiscard]] util::TimeDelta min_round_trip() const noexcept { return snd_.min_rtt; }
+  /// True once the sender has adopted a router-advertised rate this transfer.
+  [[nodiscard]] bool stamped() const noexcept { return stamped_; }
 
  private:
-  void send_next();
-  void on_feedback(const net::Packet& p);
-  void finish_transfer();
-  void reset_transfer_state();
-  void on_data(const net::Packet& p);
-  void feedback_tick();
-
-  net::Dumbbell& net_;
-  int flow_;
-  double base_rtt_s_;
-  RcpConfig cfg_;
-
-  sim::Simulator::PinnedEvent send_ev_;
-  sim::Simulator::PinnedEvent feedback_ev_;
-
-  /// Per-transfer sender hot state; chain guards survive the POD rewind.
-  struct SenderState {
-    util::DataRate rate;
-    double srtt = 0.0;
-    util::TimeDelta min_rtt;  // per-transfer floor (0 = no sample yet)
-    std::int64_t next_seq = 0;
-    std::uint64_t transfer_limit = 0;
-    std::uint64_t transfer_sent = 0;
-    bool running = false;
-    bool pacing_armed = false;
-    bool feedback_armed = false;
-    bool have_stamp = false;  // a router-advertised rate has been adopted
-  };
-  static_assert(sizeof(SenderState) == 56, "RCP sender hot state outgrew its budget");
-  static_assert(std::is_trivially_copyable_v<SenderState>);
-
-  /// Per-transfer receiver hot state.
-  struct ReceiverState {
-    std::int64_t expected_seq = 0;
-    double rtt_hint = 0.0;
-    double last_feedback_time = 0.0;
-    double last_data_send_time = 0.0;
-    double router_rate = 0.0;  // stamp of the most recent data packet
-    std::uint64_t recv_since_feedback = 0;
-    bool started = false;
-  };
-  static_assert(sizeof(ReceiverState) == 56, "RCP receiver hot state outgrew its budget");
-  static_assert(std::is_trivially_copyable_v<ReceiverState>);
-
-  SenderState snd_;
-  ReceiverState rcv_;
-
-  std::uint64_t transfers_completed_ = 0;
-  CompletionFn done_;
-
-  // cumulative counters (survive open()/close())
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  double qdelay_sum_s_ = 0.0;
-  std::uint64_t qdelay_samples_ = 0;
-
-  stats::LossEventRecorder recorder_;
-  stats::OnlineMoments rtt_stats_;
-  double next_rtt_sample_at_ = 0.0;
+  bool stamped_ = false;
 };
+
+using RcpConnection = rate::RateConnection<RcpLaw>;
 
 }  // namespace ebrc::rcp

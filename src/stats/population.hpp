@@ -24,8 +24,8 @@ namespace ebrc::stats {
 
 class PopulationTracker {
  public:
-  /// Traffic classes tracked separately (the workload layer's FlowClass:
-  /// 0 = TFRC, 1 = TCP, 2 = delay-AIMD, 3 = RCP).
+  /// Traffic classes tracked separately: one per row of the workload
+  /// layer's class table (workload/zoo.hpp asserts the two agree).
   static constexpr int kClasses = 4;
 
   /// A flow of class `cls` became active at time `t`.

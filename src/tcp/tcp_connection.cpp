@@ -84,13 +84,6 @@ void TcpConnection::reset_transfer_state() {
   recorder_.set_rtt_window(base_rtt_s_);
 }
 
-void TcpConnection::reset_counters() {
-  sent_ = 0;
-  delivered_ = 0;
-  timeouts_ = 0;
-  fast_retx_ = 0;
-}
-
 // --------------------------------------------------------------- sender ----
 
 void TcpConnection::try_send() {

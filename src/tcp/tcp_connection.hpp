@@ -34,6 +34,7 @@ struct TcpConfig {
 
 class TcpConnection {
  public:
+  using Config = TcpConfig;
   /// Flow-retirement notification for pooled (finite-transfer) use.
   using CompletionFn = sim::InlineFunction<void(), 24>;
 
@@ -88,8 +89,6 @@ class TcpConnection {
   /// Queuing-delay telemetry (Sender concept): loss-based TCP reports none.
   [[nodiscard]] double queuing_delay_sum_s() const noexcept { return 0.0; }
   [[nodiscard]] std::uint64_t queuing_delay_samples() const noexcept { return 0; }
-  /// Resets counters (recorder excepted) at the end of warm-up.
-  void reset_counters();
 
  private:
   // sender side

@@ -152,7 +152,8 @@ ExperimentResult run_experiment(const Scenario& sc, const obs::RunObs* ro) {
   if (workload::workload_enabled(sc.workload)) {
     // Router-assisted controller: the bottleneck computes the RCP fair share
     // and stamps it into passing data packets.
-    if (sc.workload.controller == "rcp") {
+    const workload::FlowClass pinned = workload::find_class(sc.workload.controller);
+    if (pinned >= 0 && workload::kClassInfo[pinned].rcp_router) {
       net::RcpParams rp;
       rp.d0_s = sc.base_rtt_s;
       rp.packet_bytes = sc.tfrc.packet_bytes;
@@ -162,8 +163,7 @@ ExperimentResult run_experiment(const Scenario& sc, const obs::RunObs* ro) {
     wcfg.workload = sc.workload;
     wcfg.tfrc = sc.tfrc;
     wcfg.tcp = sc.tcp;
-    wcfg.aimd.packet_bytes = sc.tfrc.packet_bytes;
-    wcfg.rcp.packet_bytes = sc.tfrc.packet_bytes;
+    wcfg.rate.packet_bytes = sc.tfrc.packet_bytes;
     wcfg.base_rtt_s = sc.base_rtt_s;
     wcfg.rtt_spread = sc.rtt_spread;
     wcfg.shared_prop_s = kSharedProp;
@@ -222,13 +222,12 @@ ExperimentResult run_experiment(const Scenario& sc, const obs::RunObs* ro) {
     obs::CellTrace* trace = nullptr;
   } comp_obs;
   if (churn) {
-    static constexpr const char* kClsName[workload::kFlowClasses] = {"tfrc", "tcp", "aimd",
-                                                                     "rcp"};
     for (int c = 0; c < workload::kFlowClasses; ++c) {
-      reg.add_counter(std::string("wl_opens_") + kClsName[c], [&churn, c](double) {
+      const std::string tag(workload::kClassInfo[c].tag);
+      reg.add_counter("wl_opens_" + tag, [&churn, c](double) {
         return static_cast<double>(churn->population().class_opens(c));
       });
-      reg.add_counter(std::string("wl_closes_") + kClsName[c], [&churn, c](double) {
+      reg.add_counter("wl_closes_" + tag, [&churn, c](double) {
         return static_cast<double>(churn->population().class_closes(c));
       });
     }
@@ -243,9 +242,8 @@ ExperimentResult run_experiment(const Scenario& sc, const obs::RunObs* ro) {
           auto* co = static_cast<CompObs*>(ctx);
           co->duration->record(t1 - t0);
           if (co->trace != nullptr) {
-            static constexpr const char* kSpan[workload::kFlowClasses] = {
-                "transfer:tfrc", "transfer:tcp", "transfer:aimd", "transfer:rcp"};
-            co->trace->span(t0, t1, kSpan[cls & 3], "transfers");
+            co->trace->span(t0, t1, "transfer:" + std::string(workload::kClassInfo[cls].tag),
+                            "transfers");
           }
         },
         &comp_obs);

@@ -102,11 +102,6 @@ void TfrcConnection::reset_transfer_state() {
   recorder_.set_rtt_window(base_rtt_s_);
 }
 
-void TfrcConnection::reset_counters() {
-  sent_ = 0;
-  delivered_ = 0;
-}
-
 double TfrcConnection::formula_rate() const {
   if (!snd_.saw_loss) return 0.0;
   const double p = std::min(1.0, history_.loss_event_rate());

@@ -51,6 +51,7 @@ struct TfrcConfig {
 
 class TfrcConnection {
  public:
+  using Config = TfrcConfig;
   /// Flow-retirement notification for pooled (finite-transfer) use.
   using CompletionFn = sim::InlineFunction<void(), 24>;
 
@@ -112,7 +113,6 @@ class TfrcConnection {
   /// f(p, r) evaluated at this connection's current estimates (the paper's
   /// conservativeness reference).
   [[nodiscard]] double formula_rate() const;
-  void reset_counters();
 
  private:
   // sender side

@@ -9,7 +9,10 @@ namespace ebrc::workload {
 
 namespace {
 
-[[nodiscard]] int class_index(FlowClass c) noexcept { return static_cast<int>(c); }
+// The paper's two-class mix (WorkloadConfig::tfrc_fraction) draws between these.
+constexpr FlowClass kTfrc = find_class("tfrc");
+constexpr FlowClass kTcp = find_class("tcp");
+static_assert(kTfrc >= 0 && kTcp >= 0);
 
 }  // namespace
 
@@ -44,17 +47,16 @@ FlowManager::FlowManager(net::Dumbbell& net, FlowManagerConfig cfg)
   if (w.session_transfers_mean < 1.0) {
     throw std::invalid_argument("FlowManager: session_transfers_mean must be >= 1");
   }
-  if (w.controller == "tfrc") {
-    forced_cls_ = class_index(FlowClass::kTfrc);
-  } else if (w.controller == "tcp") {
-    forced_cls_ = class_index(FlowClass::kTcp);
-  } else if (w.controller == "delay_aimd") {
-    forced_cls_ = class_index(FlowClass::kDelayAimd);
-  } else if (w.controller == "rcp") {
-    forced_cls_ = class_index(FlowClass::kRcp);
-  } else if (!w.controller.empty()) {
-    throw std::invalid_argument("FlowManager: unknown controller '" + w.controller +
-                                "' (expected tfrc | tcp | delay_aimd | rcp)");
+  if (!w.controller.empty()) {
+    forced_cls_ = find_class(w.controller);
+    if (forced_cls_ < 0) {
+      std::string names;
+      for (const ClassInfo& c : kClassInfo) {
+        names.append(names.empty() ? "" : " | ").append(c.controller);
+      }
+      throw std::invalid_argument("FlowManager: unknown controller '" + w.controller +
+                                  "' (expected " + names + ")");
+    }
   }
   free_.reserve(static_cast<std::size_t>(w.max_concurrent));
   pools_.reserve(static_cast<std::size_t>(w.max_concurrent));
@@ -75,18 +77,19 @@ void FlowManager::begin_epoch() {
   epoch_open_ = true;
   // One snapshot sweep per class over its wired connections.
   // Written once against the Sender concept for the whole zoo.
-  for (int c = 0; c < kFlowClasses; ++c) {
-    for (std::int32_t k = 0; k < pools_.connections(c); ++k) {
-      EpochSnapshot& s = pools_.snapshot(c, k);
-      pools_.with_sender(c, k, [&s](const auto& conn) {
+  for (FlowClass c = 0; c < kFlowClasses; ++c) {
+    pools_.with_pool(c, [&](const auto& pool) {
+      for (std::int32_t k = 0; k < pools_.connections(c); ++k) {
+        EpochSnapshot& s = pools_.snapshot(c, k);
+        const auto& conn = pool[k];
         s.delivered0 = conn.delivered();
         s.packets0 = conn.recorder().packets();
         s.losses0 = conn.recorder().losses();
         s.events0 = conn.recorder().events();
         s.qd_sum0 = conn.queuing_delay_sum_s();
         s.qd_count0 = conn.queuing_delay_samples();
-      });
-    }
+      }
+    });
   }
 }
 
@@ -134,7 +137,7 @@ void FlowManager::arrival() {
 }
 
 void FlowManager::ensure_side(std::size_t idx, FlowClass cls) {
-  std::int32_t& conn = pools_.slot(idx).conn[class_index(cls)];
+  std::int32_t& conn = pools_.slot(idx).conn[cls];
   if (conn >= 0) return;
   // First use of this slot under `cls`: wire a dumbbell flow and construct
   // the connection permanently (handlers + pinned events registered once).
@@ -143,20 +146,7 @@ void FlowManager::ensure_side(std::size_t idx, FlowClass cls) {
   const double rtt = cfg_.base_rtt_s * (1.0 + jitter);
   const double one_way = std::max(0.0, rtt / 2.0 - cfg_.shared_prop_s);
   const int flow_id = net_.add_flow(one_way, rtt / 2.0);
-  switch (cls) {
-    case FlowClass::kTfrc:
-      conn = pools_.make_tfrc(net_, flow_id, rtt, cfg_.tfrc);
-      break;
-    case FlowClass::kTcp:
-      conn = pools_.make_tcp(net_, flow_id, rtt, cfg_.tcp);
-      break;
-    case FlowClass::kDelayAimd:
-      conn = pools_.make_delay_aimd(net_, flow_id, rtt, cfg_.aimd);
-      break;
-    case FlowClass::kRcp:
-      conn = pools_.make_rcp(net_, flow_id, rtt, cfg_.rcp);
-      break;
-  }
+  conn = pools_.make(cls, net_, flow_id, rtt, cfg_.tfrc, cfg_.tcp, cfg_.rate);
 }
 
 void FlowManager::admit(int session_remaining) {
@@ -168,9 +158,7 @@ void FlowManager::admit(int session_remaining) {
   // `controller` see identical arrival times and sizes.
   const double class_draw = workload_rng_.uniform();
   const FlowClass cls =
-      forced_cls_ >= 0
-          ? static_cast<FlowClass>(forced_cls_)
-          : (class_draw < cfg_.workload.tfrc_fraction ? FlowClass::kTfrc : FlowClass::kTcp);
+      forced_cls_ >= 0 ? forced_cls_ : (class_draw < cfg_.workload.tfrc_fraction ? kTfrc : kTcp);
   const double size = draw_size();
 
   std::size_t idx;
@@ -180,7 +168,7 @@ void FlowManager::admit(int session_remaining) {
   } else if (pools_.size() < static_cast<std::size_t>(cfg_.workload.max_concurrent)) {
     idx = pools_.add_slot();
   } else {
-    pop_.on_reject(now, class_index(cls));
+    pop_.on_reject(now, cls);
     return;  // loss-system admission: the transfer (and its session) is gone
   }
 
@@ -188,15 +176,14 @@ void FlowManager::admit(int session_remaining) {
   SlotState& slot = pools_.slot(idx);
   assert(!slot.busy && "free-listed slot still occupied");
   slot.busy = true;
-  slot.cls = static_cast<std::int8_t>(class_index(cls));
+  slot.cls = static_cast<std::int8_t>(cls);
   slot.size_pkts = size;
   slot.opened_at = now;
   slot.session_remaining = session_remaining;
-  pop_.on_open(now, class_index(cls));
+  pop_.on_open(now, cls);
 
   const auto packets = static_cast<std::uint64_t>(std::llround(size));
-  const std::int32_t conn = slot.conn[class_index(cls)];
-  pools_.with_sender(class_index(cls), conn, [this, idx, packets](auto& sender) {
+  pools_.with_sender(cls, slot.conn[cls], [this, idx, packets](auto& sender) {
     sender.open(packets, [this, idx] { complete(idx); });
   });
 }
@@ -248,18 +235,19 @@ WorkloadSummary FlowManager::summarize() {
   // always been added in.
   double qd_sum = 0.0;
   std::uint64_t qd_count = 0;
-  for (int c = 0; c < kFlowClasses; ++c) {
+  for (FlowClass c = 0; c < kFlowClasses; ++c) {
     const ClassFields& f = kClassFields[c];
     const auto& t = pop_.completion_time(c);
     out.*f.mean_flows = pop_.mean_flows(c);
     out.*f.completion_s = t.mean();
     out.*f.completion_cov = t.cv();
     std::uint64_t del = 0, pk = 0, lo = 0, ev = 0;
-    for (std::size_t i = 0; i < pools_.size(); ++i) {
-      const std::int32_t k = pools_.slot(i).conn[c];
-      if (k < 0) continue;
-      const EpochSnapshot& s = pools_.snapshot(c, k);
-      pools_.with_sender(c, k, [&](const auto& conn) {
+    pools_.with_pool(c, [&](const auto& pool) {
+      for (std::size_t i = 0; i < pools_.size(); ++i) {
+        const std::int32_t k = pools_.slot(i).conn[c];
+        if (k < 0) continue;
+        const EpochSnapshot& s = pools_.snapshot(c, k);
+        const auto& conn = pool[k];
         del += conn.delivered() - s.delivered0;
         const auto& rec = conn.recorder();
         pk += rec.packets() - s.packets0;
@@ -267,8 +255,8 @@ WorkloadSummary FlowManager::summarize() {
         ev += rec.events() - s.events0;
         qd_sum += conn.queuing_delay_sum_s() - s.qd_sum0;
         qd_count += conn.queuing_delay_samples() - s.qd_count0;
-      });
-    }
+      }
+    });
     out.*f.goodput_pps = static_cast<double>(del) / window;
     out.*f.p = pk + lo > 0 ? static_cast<double>(ev) / static_cast<double>(pk + lo) : 0.0;
   }

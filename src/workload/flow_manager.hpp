@@ -7,16 +7,13 @@
 // then claims a slot from the run-time flow pool.
 //
 // The pool is where the zero-steady-state-allocation contract lives. A slot
-// wires itself into the dumbbell ONCE per traffic class — one dumbbell flow
-// id plus one permanently constructed TfrcConnection or TcpConnection, with
-// its pinned pacing/feedback events and packet handlers registered at that
-// first use and never again. Every later transfer the slot carries merely
-// open()s the existing connection (a state rewind, no construction, no
-// pins, no handler churn). Once every slot has served both classes the pool
-// is saturated: spawning and retiring thousands of further flows performs
-// no heap allocation and registers no new kernel state, which is what keeps
-// the many-flows churn regime running at packet-path speed (asserted by
-// tests/workload_alloc_test.cpp).
+// wires itself into the dumbbell ONCE per traffic class: one dumbbell flow
+// id plus one permanently constructed connection of that class's row in the
+// class table (workload/zoo.hpp), its pinned events and packet handlers
+// registered at that first use. Every later transfer merely open()s it (a
+// state rewind). Once every slot has served every class it carries, the pool
+// is saturated: further churn performs no heap allocation and registers no
+// new kernel state (asserted by tests/workload_alloc_test.cpp).
 //
 // Retired slots are QUARANTINED for a drain interval before re-entering the
 // free list: a packet of the previous transfer still inside the bottleneck
@@ -60,8 +57,9 @@ struct FlowManagerConfig {
   WorkloadConfig workload{};
   tfrc::TfrcConfig tfrc{};
   tcp::TcpConfig tcp{};
-  delay_aimd::DelayAimdConfig aimd{};
-  rcp::RcpConfig rcp{};
+  /// The paced rate sender's settings, shared by delay-AIMD and RCP (their
+  /// rate laws run with default parameters).
+  rate::RateSenderConfig rate{};
   double base_rtt_s = 0.050;
   double rtt_spread = 0.1;
   /// Propagation of the dumbbell's shared segment (subtracted from the

@@ -6,11 +6,8 @@
 // address — their handlers capture `this`. Pool work — admit, complete,
 // quarantine release, and the epoch sweeps that snapshot and fold every
 // slot's counters — touches a few small fields per slot and, at 10^5–10^6
-// slots, dominates cache behavior: with the old deque<Slot> layout each slot
-// visit dragged in two std::optional connections' worth of cold bytes
-// (~1 KB per slot) to read ~30 hot ones.
-//
-// FlowPools therefore splits the pool into parallel arrays:
+// slots, dominates cache behavior. FlowPools therefore splits the pool into
+// parallel arrays:
 //
 //   SlotState[]        — per slot id: the per-transfer attributes
 //                        admit/complete touch plus the slot's connection
@@ -28,40 +25,27 @@
 // The dumbbell flow id lives in the connection, which stamps it on every
 // packet; the pool never reads it again after wiring.
 //
-// Four traffic classes ride the pool (FlowClass): TFRC and TCP from the
-// paper, plus the controller zoo — delay-based AIMD and RCP. All four
-// connection types satisfy the workload::Sender concept (checked below), and
-// with_sender() dispatches a generic visitor over the class tag so the
-// manager's epoch sweeps are written once, not four times.
+// The traffic classes are the rows of the class table (workload/zoo.hpp):
+// the connection deques are one std::tuple built from it, and with_pool() /
+// with_sender() dispatch a generic visitor over the class index, so the
+// manager's epoch sweeps are written once for the whole zoo.
 //
 // Static tripwires pin the record layouts the same way the 56-B Packet and
 // 24-B queue-entry guards do: growing a record past its budget is a compile
 // error, not a silent regression.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
-#include "delay_aimd/delay_aimd_connection.hpp"
-#include "rcp/rcp_connection.hpp"
-#include "tcp/tcp_connection.hpp"
-#include "tfrc/tfrc_connection.hpp"
-#include "workload/sender.hpp"
+#include "workload/zoo.hpp"
 
 namespace ebrc::workload {
-
-enum class FlowClass : int { kTfrc = 0, kTcp = 1, kDelayAimd = 2, kRcp = 3 };
-inline constexpr int kFlowClasses = 4;
-
-// The whole zoo satisfies the Sender contract — a controller that forgets
-// part of the pooled lifecycle fails here, at compile time.
-static_assert(Sender<tfrc::TfrcConnection>);
-static_assert(Sender<tcp::TcpConnection>);
-static_assert(Sender<delay_aimd::DelayAimdConnection>);
-static_assert(Sender<rcp::RcpConnection>);
 
 /// Per-slot record: everything admit()/complete() read or write per
 /// transfer, and the slot's connection in each class.
@@ -71,7 +55,12 @@ struct SlotState {
   std::int32_t session_remaining = 0;  // follow-up transfers after this one
   std::int8_t cls = 0;                 // current/last occupant (FlowClass)
   bool busy = false;                   // occupancy guard: admit/complete alternate
-  std::int32_t conn[kFlowClasses] = {-1, -1, -1, -1};  // index into each class's pool
+  /// Index into each class's connection pool; -1 = never wired.
+  std::array<std::int32_t, kFlowClasses> conn = [] {
+    std::array<std::int32_t, kFlowClasses> a{};
+    a.fill(-1);
+    return a;
+  }();
 };
 static_assert(sizeof(SlotState) == 40, "SlotState grew past its budget");
 static_assert(alignof(SlotState) == 8);
@@ -110,91 +99,60 @@ class FlowPools {
   [[nodiscard]] const SlotState& slot(std::size_t i) const noexcept { return slots_[i]; }
 
   /// Connections ever built in class `cls`.
-  [[nodiscard]] std::int32_t connections(int cls) const noexcept {
+  [[nodiscard]] std::int32_t connections(FlowClass cls) const noexcept {
     return static_cast<std::int32_t>(snaps_[cls].size());
   }
-  [[nodiscard]] EpochSnapshot& snapshot(int cls, std::int32_t c) noexcept {
+  [[nodiscard]] EpochSnapshot& snapshot(FlowClass cls, std::int32_t c) noexcept {
     return snaps_[cls][c];
   }
-  [[nodiscard]] const EpochSnapshot& snapshot(int cls, std::int32_t c) const noexcept {
+  [[nodiscard]] const EpochSnapshot& snapshot(FlowClass cls, std::int32_t c) const noexcept {
     return snaps_[cls][c];
   }
 
-  /// Constructs a connection in the class pool (address-stable deque) with
-  /// a zeroed epoch snapshot and returns its index for SlotState::conn.
-  [[nodiscard]] std::int32_t make_tfrc(net::Dumbbell& net, int flow_id, double rtt,
-                                       const tfrc::TfrcConfig& cfg) {
-    tfrc_.emplace_back(net, flow_id, rtt, cfg);
-    return add_snapshot(FlowClass::kTfrc);
-  }
-  [[nodiscard]] std::int32_t make_tcp(net::Dumbbell& net, int flow_id, double rtt,
-                                      const tcp::TcpConfig& cfg) {
-    tcp_.emplace_back(net, flow_id, rtt, cfg);
-    return add_snapshot(FlowClass::kTcp);
-  }
-  [[nodiscard]] std::int32_t make_delay_aimd(net::Dumbbell& net, int flow_id, double rtt,
-                                             const delay_aimd::DelayAimdConfig& cfg) {
-    aimd_.emplace_back(net, flow_id, rtt, cfg);
-    return add_snapshot(FlowClass::kDelayAimd);
-  }
-  [[nodiscard]] std::int32_t make_rcp(net::Dumbbell& net, int flow_id, double rtt,
-                                      const rcp::RcpConfig& cfg) {
-    rcp_.emplace_back(net, flow_id, rtt, cfg);
-    return add_snapshot(FlowClass::kRcp);
-  }
-
-  [[nodiscard]] tfrc::TfrcConnection& tfrc(std::int32_t c) noexcept { return tfrc_[c]; }
-  [[nodiscard]] const tfrc::TfrcConnection& tfrc(std::int32_t c) const noexcept {
-    return tfrc_[c];
-  }
-  [[nodiscard]] tcp::TcpConnection& tcp(std::int32_t c) noexcept { return tcp_[c]; }
-  [[nodiscard]] const tcp::TcpConnection& tcp(std::int32_t c) const noexcept { return tcp_[c]; }
-  [[nodiscard]] delay_aimd::DelayAimdConnection& delay_aimd(std::int32_t c) noexcept {
-    return aimd_[c];
-  }
-  [[nodiscard]] const delay_aimd::DelayAimdConnection& delay_aimd(std::int32_t c) const noexcept {
-    return aimd_[c];
-  }
-  [[nodiscard]] rcp::RcpConnection& rcp(std::int32_t c) noexcept { return rcp_[c]; }
-  [[nodiscard]] const rcp::RcpConnection& rcp(std::int32_t c) const noexcept { return rcp_[c]; }
-
-  /// Applies `fn` to connection `c` of class `cls` as whatever concrete
-  /// Sender it is. Pool/epoch code generic over the zoo is written once
-  /// against the Sender concept and dispatched here.
-  template <typename Fn>
-  decltype(auto) with_sender(int cls, std::int32_t c, Fn&& fn) {
-    switch (static_cast<FlowClass>(cls)) {
-      case FlowClass::kTfrc: return fn(tfrc_[c]);
-      case FlowClass::kTcp: return fn(tcp_[c]);
-      case FlowClass::kDelayAimd: return fn(aimd_[c]);
-      case FlowClass::kRcp: return fn(rcp_[c]);
-    }
-    return fn(tfrc_[c]);  // unreachable; keeps -Wreturn-type quiet
-  }
-  template <typename Fn>
-  decltype(auto) with_sender(int cls, std::int32_t c, Fn&& fn) const {
-    switch (static_cast<FlowClass>(cls)) {
-      case FlowClass::kTfrc: return fn(tfrc_[c]);
-      case FlowClass::kTcp: return fn(tcp_[c]);
-      case FlowClass::kDelayAimd: return fn(aimd_[c]);
-      case FlowClass::kRcp: return fn(rcp_[c]);
-    }
-    return fn(tfrc_[c]);  // unreachable; keeps -Wreturn-type quiet
-  }
-
- private:
-  std::int32_t add_snapshot(FlowClass cls) {
-    std::deque<EpochSnapshot>& s = snaps_[static_cast<int>(cls)];
+  /// Constructs a connection of class `cls` in its pool (address-stable
+  /// deque) with a zeroed epoch snapshot and returns its index for
+  /// SlotState::conn. `configs` holds one config per distinct Config type of
+  /// the zoo; the class takes the one of its connection's Config type.
+  template <typename... Configs>
+  [[nodiscard]] std::int32_t make(FlowClass cls, net::Dumbbell& net, int flow_id, double rtt,
+                                  const Configs&... configs) {
+    with_class(cls, [&](auto k) {
+      using Config = typename std::tuple_element_t<k, decltype(pools_)>::value_type::Config;
+      std::get<k>(pools_).emplace_back(net, flow_id, rtt,
+                                       std::get<const Config&>(std::tie(configs...)));
+    });
+    std::deque<EpochSnapshot>& s = snaps_[cls];
     s.emplace_back();
     return static_cast<std::int32_t>(s.size() - 1);
   }
 
+  /// Applies `fn` to class `cls`'s connection deque as its concrete type.
+  /// Pool/epoch code generic over the zoo is written once against the
+  /// Sender concept and dispatched here, once per class.
+  template <typename Fn>
+  void with_pool(FlowClass cls, Fn&& fn) const {
+    with_class(cls, [&](auto k) { fn(std::get<k>(pools_)); });
+  }
+
+  /// Applies `fn` to connection `c` of class `cls` as whatever concrete
+  /// Sender it is.
+  template <typename Fn>
+  void with_sender(FlowClass cls, std::int32_t c, Fn&& fn) {
+    with_class(cls, [&](auto k) { fn(std::get<k>(pools_)[c]); });
+  }
+
+ private:
+  template <typename Rows>
+  struct PoolsOf;
+  template <typename... Rows>
+  struct PoolsOf<std::tuple<Rows...>> {
+    using type = std::tuple<std::deque<typename Rows::Connection>...>;
+  };
+
   std::vector<SlotState> slots_;
   std::deque<EpochSnapshot> snaps_[kFlowClasses];  // parallel to the pools below
-  std::deque<tfrc::TfrcConnection> tfrc_;  // deque: connections never relocate
-  std::deque<tcp::TcpConnection> tcp_;
-  std::deque<delay_aimd::DelayAimdConnection> aimd_;
-  std::deque<rcp::RcpConnection> rcp_;
+  // One deque per class, in kZoo order: connections never relocate.
+  typename PoolsOf<std::remove_const_t<decltype(kZoo)>>::type pools_;
 };
 
 }  // namespace ebrc::workload

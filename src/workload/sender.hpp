@@ -1,22 +1,20 @@
-// The Sender concept: the contract every rate controller in the zoo
-// satisfies, extracted from the TfrcConnection/TcpConnection lifecycle that
-// PR 5 unified and PR 9 generalizes to DelayAimd and RCP.
+// The Sender concept: the contract every controller in the zoo satisfies.
+// Three types implement it: TfrcConnection, TcpConnection, and the paced
+// rate sender rate::RateConnection<Law> (delay-based AIMD and RCP are laws).
 //
-// A Sender is constructed ONCE per pool slot (handlers and pinned events are
-// permanent, the object is address-stable) and then cycled through
-// open()/close() per transfer: open() rewinds per-transfer POD state while
-// cumulative measurement counters survive, close() retires the flow with
-// pacing/feedback chains dying lazily against the running flag. The pool
-// quarantines retired slots for a drain interval before reuse.
-//
-// The concept is structural, checked at compile time for all four
-// controllers (see flow_pools.hpp), so a new controller that forgets part of
-// the lifecycle fails the build, not a 3 a.m. sweep.
+// A Sender is constructed ONCE per pool slot from (dumbbell, flow id, base
+// RTT, its Config) — handlers and pinned events are permanent, the object is
+// address-stable — and then cycled through open()/close() per transfer:
+// open() rewinds per-transfer POD state while cumulative measurement
+// counters survive, close() retires the flow with pacing/feedback chains
+// dying lazily against the running flag. Every row of the class table
+// (workload/zoo.hpp) is checked against the concept at compile time.
 #pragma once
 
 #include <concepts>
 #include <cstdint>
 
+#include "net/dumbbell.hpp"
 #include "sim/inline_function.hpp"
 #include "stats/loss_events.hpp"
 #include "stats/online.hpp"
@@ -27,26 +25,27 @@ namespace ebrc::workload {
 using CompletionFn = sim::InlineFunction<void(), 24>;
 
 template <typename S>
-concept Sender = requires(S s, const S cs, double at, std::uint64_t n, CompletionFn done) {
-  // continuous-source control (figure experiments)
-  s.start(at);
-  s.stop();
-  // pooled per-transfer lifecycle (dynamic workloads)
-  s.open(n, std::move(done));
-  s.close();
-  { cs.active() } -> std::convertible_to<bool>;
-  { cs.transfers_completed() } -> std::convertible_to<std::uint64_t>;
-  // measurement surface the workload/testbed layers aggregate over
-  { cs.recorder() } -> std::convertible_to<const stats::LossEventRecorder&>;
-  { cs.delivered() } -> std::convertible_to<std::uint64_t>;
-  { cs.sent() } -> std::convertible_to<std::uint64_t>;
-  { cs.srtt() } -> std::convertible_to<double>;
-  { cs.rtt_stats() } -> std::convertible_to<const stats::OnlineMoments&>;
-  // queuing-delay telemetry: delay-sensing controllers report (sum, count)
-  // of per-RTT queuing-delay samples; loss-based ones report zero samples.
-  { cs.queuing_delay_sum_s() } -> std::convertible_to<double>;
-  { cs.queuing_delay_samples() } -> std::convertible_to<std::uint64_t>;
-  s.reset_counters();
-};
+concept Sender =
+    std::constructible_from<S, net::Dumbbell&, int, double, const typename S::Config&> &&
+    requires(S s, const S cs, double at, std::uint64_t n, CompletionFn done) {
+      // continuous-source control (figure experiments)
+      s.start(at);
+      s.stop();
+      // pooled per-transfer lifecycle (dynamic workloads)
+      s.open(n, std::move(done));
+      s.close();
+      { cs.active() } -> std::convertible_to<bool>;
+      { cs.transfers_completed() } -> std::convertible_to<std::uint64_t>;
+      // measurement surface the workload/testbed layers aggregate over
+      { cs.recorder() } -> std::convertible_to<const stats::LossEventRecorder&>;
+      { cs.delivered() } -> std::convertible_to<std::uint64_t>;
+      { cs.sent() } -> std::convertible_to<std::uint64_t>;
+      { cs.srtt() } -> std::convertible_to<double>;
+      { cs.rtt_stats() } -> std::convertible_to<const stats::OnlineMoments&>;
+      // queuing-delay telemetry: delay-sensing controllers report (sum, count)
+      // of per-RTT queuing-delay samples; loss-based ones report zero samples.
+      { cs.queuing_delay_sum_s() } -> std::convertible_to<double>;
+      { cs.queuing_delay_samples() } -> std::convertible_to<std::uint64_t>;
+    };
 
 }  // namespace ebrc::workload

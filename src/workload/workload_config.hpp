@@ -44,10 +44,10 @@ struct WorkloadConfig {
   double tfrc_fraction = 0.5;
 
   /// Controller override for the whole arrival process: "" (default) keeps
-  /// the two-class tfrc_fraction mix; "tfrc" | "tcp" | "delay_aimd" | "rcp"
-  /// pins EVERY arrival to that controller class (the class draw is still
-  /// burned so CRN-paired arms see identical arrival streams). "rcp" also
-  /// turns the bottleneck into an RCP router.
+  /// the two-class tfrc_fraction mix; a controller name from the class table
+  /// (workload/zoo.hpp) pins EVERY arrival to that class (the class draw is
+  /// still burned so CRN-paired arms see identical arrival streams). A class
+  /// whose row asks for it also turns the bottleneck into an RCP router.
   std::string controller = "";
 
   /// Flow-pool capacity: the maximum number of concurrently active dynamic

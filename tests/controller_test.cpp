@@ -131,7 +131,7 @@ TEST(ControllerLifecycle, RcpSenderAdoptsRouterStampAndCompletes) {
   sim.run_until(400.0);
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(c.sent(), 400u);
-  EXPECT_TRUE(c.rate_stamped());  // the router's fair share reached the sender
+  EXPECT_TRUE(c.law().stamped());  // the router's fair share reached the sender
   EXPECT_GT(c.queuing_delay_samples(), 0u);
 
   // The advertised fair share is bounded by the link's packet capacity.

@@ -4,7 +4,6 @@
 
 #include "sim/random.hpp"
 #include "stats/autocovariance.hpp"
-#include "stats/binned.hpp"
 #include "stats/loss_events.hpp"
 #include "stats/online.hpp"
 #include "stats/time_average.hpp"
@@ -94,36 +93,6 @@ TEST(TimeWeightedAverage, RejectsBackwardsTime) {
   TimeWeightedAverage a;
   a.start(1.0, 1.0);
   EXPECT_THROW(a.set(0.5, 2.0), std::invalid_argument);
-}
-
-TEST(BinnedSeries, PerBinMeansAndCI) {
-  BinnedSeries b(0.0, 10.0, 5);
-  for (int i = 0; i < 100; ++i) {
-    const double t = i * 0.1;  // covers [0, 10)
-    b.add(t, 1.0);             // constant signal
-  }
-  const auto est = b.estimate();
-  EXPECT_EQ(est.bins, 5u);
-  EXPECT_DOUBLE_EQ(est.mean, 1.0);
-  EXPECT_DOUBLE_EQ(est.half_width, 0.0);
-  // Out-of-window samples are dropped.
-  b.add(-1.0, 100.0);
-  b.add(10.0, 100.0);
-  EXPECT_DOUBLE_EQ(b.estimate().mean, 1.0);
-}
-
-TEST(BinnedSeries, CIWidthBehaves) {
-  const auto est = estimate_from({1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-  EXPECT_DOUBLE_EQ(est.mean, 3.5);
-  EXPECT_GT(est.half_width, 0.0);
-  EXPECT_LT(est.lo(), est.mean);
-  EXPECT_GT(est.hi(), est.mean);
-}
-
-TEST(StudentT, QuantileTable) {
-  EXPECT_NEAR(t_quantile_975(1), 12.706, 1e-3);
-  EXPECT_NEAR(t_quantile_975(5), 2.571, 1e-3);
-  EXPECT_NEAR(t_quantile_975(100), 1.96, 1e-3);
 }
 
 TEST(LossEventRecorder, GroupsLossesWithinRtt) {
