@@ -23,7 +23,8 @@
 // BENCH_net.json, including the wheel-vs-heap pop split of the timing-wheel
 // kernel and the pool's memory: peak RSS (VmHWM, reset before each pool)
 // and bytes per slot (RSS growth from before construction to the end of the
-// warm-up, over the pool size). Wall-clock numbers are NOT bit-stable, which
+// warm-up, over the pool size; pools under 10k slots print n/a and omit the
+// key). Wall-clock numbers are NOT bit-stable, which
 // is why this lives behind a flag: science mode's stdout must stay
 // byte-comparable across cold/warm/sharded runs.
 //
@@ -35,6 +36,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #if defined(__GLIBC__)
@@ -55,6 +57,10 @@ namespace {
 using namespace ebrc;
 using Clock = std::chrono::steady_clock;
 
+// Below this many slots the RSS growth per slot is allocator noise (three
+// identical 100-slot runs read 5.8, 5.8 and 15.1 KB), so it is not reported.
+constexpr int kMinPoolForBytesPerSlot = 10000;
+
 struct EngineResult {
   std::string name;
   std::uint64_t events = 0;        // best slice
@@ -65,7 +71,8 @@ struct EngineResult {
   std::uint64_t wheel_pops = 0;    // timing-wheel vs heap split of the kernel pops
   std::uint64_t heap_pops = 0;
   double peak_rss_mb = 0.0;        // VmHWM over construction, warm-up and window
-  double bytes_per_slot = 0.0;     // RSS growth through the warm-up / pool size
+  // RSS growth through the warm-up / pool size; pools >= kMinPoolForBytesPerSlot
+  std::optional<double> bytes_per_slot;
 };
 
 /// A "Vm..." field of /proc/self/status in bytes (0 where unavailable).
@@ -148,7 +155,7 @@ EngineResult run_engine_workload(int pool, double seconds, std::uint64_t seed, i
       out.wheel_pops = sim.wheel_pops() - wheel0;
       out.heap_pops = sim.heap_pops() - heap0;
       out.peak_rss_mb = proc_status_bytes("VmHWM") / (1024.0 * 1024.0);
-      out.bytes_per_slot = (rss1 - rss0) / pool;
+      if (pool >= kMinPoolForBytesPerSlot) out.bytes_per_slot = (rss1 - rss0) / pool;
     }
   }
   return out;
@@ -175,14 +182,14 @@ void write_engine_json(const std::string& path, double seconds, int reps,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"events\": %llu, \"events_per_sec\": %.0f, "
                  "\"peak_flows\": %llu, \"completions\": %llu, \"utilization\": %.3f, "
-                 "\"wheel_pops\": %llu, \"heap_pops\": %llu, \"peak_rss_mb\": %.1f, "
-                 "\"bytes_per_slot\": %.0f}%s\n",
+                 "\"wheel_pops\": %llu, \"heap_pops\": %llu, \"peak_rss_mb\": %.1f",
                  r.name.c_str(), static_cast<unsigned long long>(r.events), r.events_per_sec,
                  static_cast<unsigned long long>(r.peak_flows),
                  static_cast<unsigned long long>(r.completions), r.utilization,
                  static_cast<unsigned long long>(r.wheel_pops),
-                 static_cast<unsigned long long>(r.heap_pops), r.peak_rss_mb, r.bytes_per_slot,
-                 i + 1 < results.size() ? "," : "");
+                 static_cast<unsigned long long>(r.heap_pops), r.peak_rss_mb);
+    if (r.bytes_per_slot) std::fprintf(f, ", \"bytes_per_slot\": %.0f", *r.bytes_per_slot);
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -212,7 +219,8 @@ int run_engine_mode(const bench::BenchArgs& args, const std::string& out_path,
            util::fmt(static_cast<double>(r.peak_flows), 4),
            util::fmt(static_cast<double>(r.completions), 5), util::fmt(r.utilization, 3),
            util::fmt(pops > 0 ? static_cast<double>(r.wheel_pops) / pops : 0.0, 3),
-           util::fmt(r.peak_rss_mb, 5), util::fmt(r.bytes_per_slot, 5)});
+           util::fmt(r.peak_rss_mb, 5),
+           r.bytes_per_slot ? util::fmt(*r.bytes_per_slot, 5) : std::string("n/a")});
   }
   t.print();
   write_engine_json(out_path, seconds, args.reps, results);
