@@ -72,9 +72,9 @@ int main(int argc, char** argv) {
 
   // One flat batch, load-major / controller-middle / replication-minor: at
   // load index l, controller c, replication r the result sits at
-  // ((l * 4) + c) * reps + r. The four arms at one load share derived seeds
-  // (one pair tag per load), so any cross-controller fold at that load is a
-  // CRN paired difference.
+  // ((l * kNumControllers) + c) * reps + r. All arms at one load share
+  // derived seeds (one pair tag per load), so any cross-controller fold at
+  // that load is a CRN paired difference.
   std::vector<testbed::Scenario> batch;
   for (double rho : loads) {
     const std::string tag = load_tag(rho);

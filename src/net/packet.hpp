@@ -3,12 +3,14 @@
 // The wire-common fields (flow, kind, seq, size, send timestamp) live
 // unconditionally; everything a single protocol direction needs rides in a
 // kind-discriminated union, so the struct stays at 56 bytes instead of the
-// 80 a flat layout costs. Four arms: data (every sender), TCP's ACK, TFRC's
-// receiver report, and the rate senders' receiver report (delay-AIMD and
-// RCP share one sender and one report; see rate/rate_connection.hpp). Every forwarded packet is copied into (and out of)
+// 80 a flat layout costs. Every forwarded packet is copied into (and out of)
 // the network layer's ring buffers, so those 24 bytes are paid on every hop
 // of every packet of every run. Readers must check `kind` before touching a
 // union arm (the protocols all branch on it already).
+//
+// Four arms: data (every sender), TCP's ACK, TFRC's receiver report, and the
+// rate senders' receiver report. Delay-AIMD and RCP share one sender and one
+// report kind (see rate/rate_connection.hpp).
 #pragma once
 
 #include <cstdint>

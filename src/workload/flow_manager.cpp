@@ -79,8 +79,8 @@ void FlowManager::begin_epoch() {
   // Written once against the Sender concept for the whole zoo.
   for (FlowClass c = 0; c < kFlowClasses; ++c) {
     pools_.with_pool(c, [&](const auto& pool) {
-      for (std::int32_t k = 0; k < pools_.connections(c); ++k) {
-        EpochSnapshot& s = pools_.snapshot(c, k);
+      for (std::size_t k = 0; k < pool.size(); ++k) {
+        EpochSnapshot& s = pools_.snapshot(c, static_cast<std::int32_t>(k));
         const auto& conn = pool[k];
         s.delivered0 = conn.delivered();
         s.packets0 = conn.recorder().packets();

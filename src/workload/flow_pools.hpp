@@ -98,10 +98,6 @@ class FlowPools {
   [[nodiscard]] SlotState& slot(std::size_t i) noexcept { return slots_[i]; }
   [[nodiscard]] const SlotState& slot(std::size_t i) const noexcept { return slots_[i]; }
 
-  /// Connections ever built in class `cls`.
-  [[nodiscard]] std::int32_t connections(FlowClass cls) const noexcept {
-    return static_cast<std::int32_t>(snaps_[cls].size());
-  }
   [[nodiscard]] EpochSnapshot& snapshot(FlowClass cls, std::int32_t c) noexcept {
     return snaps_[cls][c];
   }
