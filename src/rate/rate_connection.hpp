@@ -82,10 +82,7 @@ class RateConnection {
     if (cfg_.initial_rate <= util::DataRate::zero() || cfg_.packet_bytes <= 0) {
       throw std::invalid_argument("RateConnection: bad configuration");
     }
-    snd_.rate = cfg_.initial_rate;
-    snd_.srtt = base_rtt_s;
-    rcv_.rtt_hint = base_rtt_s;
-    law_.reset();
+    reset_transfer_state();
     net_.on_data_at_receiver(flow_, [this](const net::Packet& p) { on_data(p); });
     net_.on_packet_at_sender(flow_, [this](const net::Packet& p) { on_feedback(p); });
   }
